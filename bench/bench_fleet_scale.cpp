@@ -1,17 +1,14 @@
 // E21 (extension) — deployment-shape fleet scale on the event-driven engine.
 //
-// Sweeps the sharded engine (edgesim/server.hpp) from a 10k-device warmup to
-// the 100k-device deployment point, then shows thread scaling at 100k and a
-// deliberately under-provisioned server row where admission control sheds
-// load as DegradedReason::kBackpressure instead of stalling the fleet.
+// Sweeps the sharded engine (edgesim/server.hpp) from a 10k-device warmup
+// through the 100k-device deployment point to 1M devices, shows thread
+// scaling at 100k and a deliberately under-provisioned server row where
+// admission control sheds load as DegradedReason::kBackpressure instead of
+// stalling the fleet.
 // Reported: wall throughput (device-rounds/s), the virtual-latency tail
 // (p50/p99/p999 over every device, crashes pinned at the deadline), mean
 // on-air bytes per device per round, and the MAP mode-recovery proxy.
-// Every row is bit-identical across thread counts — re-run with
-// DREL_FLEET_SCALE_HUGE=1 for a 1M-device row (same shape, ~10x the wall
-// time).
-#include <cstdlib>
-
+// Every row is bit-identical across thread counts.
 #include "edgesim/server.hpp"
 #include "obs/health.hpp"
 
@@ -144,8 +141,7 @@ int main() {
         slow.expect_backpressure_fail = true;
         rows.push_back(slow);
     }
-    if (const char* env = std::getenv("DREL_FLEET_SCALE_HUGE");
-        env != nullptr && std::string(env) == "1") {
+    {
         Row huge;
         huge.label = "1M";
         huge.config.devices_per_round = 1000000;

@@ -1,5 +1,6 @@
 #include "baselines/trainers.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 

@@ -6,34 +6,68 @@
 namespace drel::stats {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
+/// High 64 bits of the 128-bit product a * b, plus its low 64 bits through
+/// `low`. Built from 32-bit halves so it stays within ISO C++.
+std::uint64_t mul_high(std::uint64_t a, std::uint64_t b, std::uint64_t* low) noexcept {
+    constexpr std::uint64_t kMask = 0xFFFFFFFFULL;
+    const std::uint64_t lo_lo = (a & kMask) * (b & kMask);
+    const std::uint64_t lo_hi = (a & kMask) * (b >> 32);
+    const std::uint64_t hi_lo = (a >> 32) * (b & kMask);
+    const std::uint64_t hi_hi = (a >> 32) * (b >> 32);
+    const std::uint64_t middle = (lo_lo >> 32) + (lo_hi & kMask) + (hi_lo & kMask);
+    *low = (middle << 32) | (lo_lo & kMask);
+    return hi_hi + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32);
 }
 
 }  // namespace
 
-Rng Rng::fork(std::uint64_t tag) const {
-    return Rng(splitmix64(seed_ ^ splitmix64(tag + 0xA5A5A5A5A5A5A5A5ULL)));
-}
-
-double Rng::uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
-
 double Rng::uniform(double lo, double hi) {
-    if (!(lo < hi)) throw std::invalid_argument("Rng::uniform: requires lo < hi");
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    if (!(lo < hi) || !std::isfinite(lo) || !std::isfinite(hi)) {
+        throw std::invalid_argument("Rng::uniform: requires finite lo < hi");
+    }
+    const double u = uniform();
+    double x = lo + (hi - lo) * u;
+    if (!std::isfinite(hi - lo)) {
+        // The span overflows a double: interpolate at half scale instead.
+        x = 2.0 * (0.5 * lo + (0.5 * hi - 0.5 * lo) * u);
+    }
+    // Rounding can land on either end of a span only a few ulps wide.
+    if (x < lo) return lo;
+    if (x >= hi) return std::nextafter(hi, lo);
+    return x;
 }
 
 std::size_t Rng::uniform_index(std::size_t n) {
     if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be positive");
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
+    const std::uint64_t range = n;
+    std::uint64_t low = 0;
+    std::uint64_t index = mul_high(next(), range, &low);
+    if (low < range) {
+        // Reject the 2^64 mod n products that would over-weight low indices.
+        const std::uint64_t threshold = (0 - range) % range;
+        while (low < threshold) index = mul_high(next(), range, &low);
+    }
+    return static_cast<std::size_t>(index);
 }
 
-double Rng::normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
+double Rng::normal() {
+    if (has_spare_normal_) {
+        has_spare_normal_ = false;
+        return spare_normal_;
+    }
+    double u = 0.0;
+    double v = 0.0;
+    double s = 0.0;
+    do {
+        u = 2.0 * uniform() - 1.0;
+        v = 2.0 * uniform() - 1.0;
+        s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double scale = std::sqrt(-2.0 * std::log(s) / s);
+    spare_normal_ = v * scale;
+    has_spare_normal_ = true;
+    return u * scale;
+}
 
 double Rng::normal(double mean, double stddev) {
     if (!(stddev >= 0.0)) throw std::invalid_argument("Rng::normal: stddev must be >= 0");
@@ -73,7 +107,8 @@ double Rng::beta(double a, double b) {
 
 double Rng::exponential(double rate) {
     if (!(rate > 0.0)) throw std::invalid_argument("Rng::exponential: rate must be positive");
-    return std::exponential_distribution<double>(rate)(engine_);
+    // 1 - U lies in (0, 1], so the logarithm is finite.
+    return -std::log1p(-uniform()) / rate;
 }
 
 std::size_t Rng::categorical(const linalg::Vector& weights) {

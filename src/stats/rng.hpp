@@ -5,10 +5,18 @@
 // exactly reproducible from a seed. `fork(tag)` derives independent
 // sub-streams — one per device in the fleet simulation — without the
 // devices' draws aliasing each other.
+//
+// The engine is xoshiro256** (32 bytes of state) seeded by SplitMix64, so a
+// fork costs a handful of integer mixes; the fleet derives streams per
+// device and round. Every transform from raw bits to a variate (uniform,
+// bounded integer, normal, exponential) is implemented here rather than
+// taken from `std::*_distribution`, whose output is implementation-defined:
+// a seed produces the same draws under any standard library.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
@@ -17,22 +25,33 @@ namespace drel::stats {
 
 class Rng {
  public:
-    explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
+    explicit Rng(std::uint64_t seed) : seed_(seed) {
+        // SplitMix64 expands the 64-bit key into the 256-bit state; its
+        // outputs are a bijection of the counter, so the state is never
+        // all zero.
+        for (std::uint64_t& word : state_) {
+            word = splitmix64(seed);
+            seed += kGolden;
+        }
+    }
 
     std::uint64_t seed() const noexcept { return seed_; }
 
     /// Derives an independent stream. SplitMix64 mixing of (seed, tag) keeps
     /// sibling streams decorrelated even for adjacent tags.
-    Rng fork(std::uint64_t tag) const;
+    Rng fork(std::uint64_t tag) const {
+        return Rng(splitmix64(seed_ ^ splitmix64(tag + 0xA5A5A5A5A5A5A5A5ULL)));
+    }
 
-    /// U[0,1)
-    double uniform();
-    /// U[lo,hi)
+    /// U[0,1): the top 53 bits of one engine output.
+    double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+    /// U[lo,hi) for finite lo < hi; never returns hi, whatever the span.
     double uniform(double lo, double hi);
-    /// Uniform integer in [0, n).
+    /// Uniform integer in [0, n), unbiased (Lemire's multiply-shift).
     std::size_t uniform_index(std::size_t n);
 
-    /// N(0,1)
+    /// N(0,1). Marsaglia polar method; the second variate of each accepted
+    /// pair is cached and returned by the next call.
     double normal();
     /// N(mean, stddev^2)
     double normal(double mean, double stddev);
@@ -43,7 +62,7 @@ class Rng {
     /// Beta(a, b)
     double beta(double a, double b);
 
-    /// Exponential with the given rate.
+    /// Exponential with the given rate, by inversion.
     double exponential(double rate);
 
     /// Draws an index with probability proportional to `weights` (must be
@@ -62,11 +81,34 @@ class Rng {
     /// Samples `k` distinct indices from [0, n) without replacement.
     std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
-    std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
-    std::mt19937_64 engine_;
+    static constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+
+    /// One SplitMix64 step from counter `x`: a bijective 64-bit hash.
+    static constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+        x += kGolden;
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+        return x ^ (x >> 31);
+    }
+
+    /// One xoshiro256** step.
+    std::uint64_t next() noexcept {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
+
+    std::array<std::uint64_t, 4> state_{};
     std::uint64_t seed_;
+    double spare_normal_ = 0.0;
+    bool has_spare_normal_ = false;
 };
 
 }  // namespace drel::stats

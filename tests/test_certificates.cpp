@@ -124,19 +124,38 @@ TEST(LossyChannel, PerfectChannelDeliversFirstTry) {
 }
 
 TEST(LossyChannel, RetransmitsUntilDelivered) {
-    stats::Rng rng(8);
+    // The payload fits one packet, so each attempt gets through with
+    // probability p = 1 - loss and the attempt count is Geometric(p): mean
+    // 1/p, standard deviation sqrt(1 - p)/p. Over independent forked trials
+    // every delivery must be complete and charged per attempt, and the mean
+    // attempt count must sit within five standard errors of 1/p.
     const auto payload = edgesim::encode_prior(channel_prior());
     edgesim::ChannelConfig config;
     config.packet_loss_prob = 0.7;
     config.max_transmissions = 500;
-    const edgesim::TransmissionReport report =
-        edgesim::transmit_prior(payload, config, rng);
-    EXPECT_TRUE(report.delivered);
-    EXPECT_GT(report.attempts, 1);
-    EXPECT_EQ(report.transmitted_bytes, payload.size() * report.attempts);
-    // The delivered payload must decode to the same prior.
-    const dp::MixturePrior decoded = edgesim::decode_prior(report.payload);
-    EXPECT_EQ(decoded.num_components(), 2u);
+    ASSERT_LE(payload.size(), config.packet_bytes);
+    const double p = 1.0 - config.packet_loss_prob;
+    const int trials = 2000;
+    const stats::Rng root(8);
+    long total_attempts = 0;
+    int retransmitted = 0;
+    for (int t = 0; t < trials; ++t) {
+        stats::Rng rng = root.fork(static_cast<std::uint64_t>(t));
+        const edgesim::TransmissionReport report =
+            edgesim::transmit_prior(payload, config, rng);
+        ASSERT_TRUE(report.delivered) << "trial " << t;
+        EXPECT_EQ(report.transmitted_bytes,
+                  payload.size() * static_cast<std::size_t>(report.attempts));
+        // The delivered bytes are the sent bytes and decode to the same prior.
+        EXPECT_EQ(report.payload, payload) << "trial " << t;
+        EXPECT_EQ(edgesim::decode_prior(report.payload).num_components(), 2u);
+        total_attempts += report.attempts;
+        if (report.attempts > 1) ++retransmitted;
+    }
+    EXPECT_GT(retransmitted, 0);
+    const double mean_attempts = static_cast<double>(total_attempts) / trials;
+    const double standard_error = std::sqrt(1.0 - p) / p / std::sqrt(static_cast<double>(trials));
+    EXPECT_NEAR(mean_attempts, 1.0 / p, 5.0 * standard_error);
 }
 
 TEST(LossyChannel, CorruptionIsDetectedNeverInstalled) {

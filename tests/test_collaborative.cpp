@@ -48,17 +48,24 @@ std::vector<const models::Dataset*> pointers(const std::vector<models::Dataset>&
 }
 
 TEST(Collaborative, SingleDeviceMatchesEmDroSolver) {
-    const Fleet f = make_fleet(1, 1, 24);
-    CollaborativeConfig config;
-    config.admm.max_iterations = 150;
-    const CollaborativeResult collab = collaborative_fit(pointers(f.local, 1), f.prior, config);
+    // With one device the consensus constraint is vacuous, so the
+    // collaborative fit must reach the EM-DRO solver's own optimum. Both
+    // multi-start from the same points (prior mean plus the heaviest atoms);
+    // a single start from the prior mean alone lands in a worse local optimum
+    // on most seeds, so it is not the reference. Seeds 0-39 agree to ~1e-11.
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const Fleet f = make_fleet(seed, 1, 24);
+        CollaborativeConfig config;
+        config.admm.max_iterations = 150;
+        const CollaborativeResult collab =
+            collaborative_fit(pointers(f.local, 1), f.prior, config);
 
-    const auto loss = models::make_logistic_loss();
-    const dro::AmbiguitySet set = dro::AmbiguitySet::wasserstein(
-        dro::radius_for_sample_size(config.radius_coefficient, f.local[0].size()));
-    const core::EmDroSolver solo(f.local[0], *loss, f.prior, set, config.transfer_weight);
-    const core::EmDroResult r = solo.solve_from(f.prior.mean());
-    EXPECT_NEAR(collab.objective, r.objective, 2e-3);
+        const auto loss = models::make_logistic_loss();
+        const dro::AmbiguitySet set = dro::AmbiguitySet::wasserstein(
+            dro::radius_for_sample_size(config.radius_coefficient, f.local[0].size()));
+        const core::EmDroSolver solo(f.local[0], *loss, f.prior, set, config.transfer_weight);
+        EXPECT_NEAR(collab.objective, solo.solve().objective, 2e-3) << "seed " << seed;
+    }
 }
 
 TEST(Collaborative, ObjectiveTraceMonotone) {

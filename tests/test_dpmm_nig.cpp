@@ -36,14 +36,33 @@ std::vector<linalg::Vector> heteroscedastic_observations(stats::Rng& rng,
 }
 
 TEST(DpmmNig, RecoversHeteroscedasticClusters) {
-    stats::Rng rng(1);
-    DpmmNigGibbs sampler(heteroscedastic_observations(rng, 25), nig_config(2));
-    sampler.run(rng);
-    ASSERT_EQ(sampler.num_clusters(), 2u);
-    const auto& z = sampler.assignments();
-    for (std::size_t i = 1; i < 25; ++i) EXPECT_EQ(z[i], z[0]);
-    for (std::size_t i = 26; i < 50; ++i) EXPECT_EQ(z[i], z[25]);
-    EXPECT_NE(z[0], z[25]);
+    // What the NIG model must get right on every draw: no cluster mixes the
+    // two planted clusters, and the tight one is never split. Exact
+    // two-cluster recovery is a frequency, not a certainty: the sd-1.5
+    // cluster sits far outside the prior's expected variance (b0/(a0-1) =
+    // 1/3) and sometimes splits into 2-4 pieces. Over seeds 0-199 the exact
+    // partition comes back on 160/200 (xoshiro256** streams) and 163/200
+    // (mt19937_64), with no impure or tight-split run on either. Requiring
+    // it on at least half of 30 seeds fails with probability 2e-5 at the
+    // mt19937_64 rate (binomial tail; 5e-5 at 0.80).
+    int exact = 0;
+    const int seeds = 30;
+    for (int seed = 1; seed <= seeds; ++seed) {
+        stats::Rng rng(static_cast<std::uint64_t>(seed));
+        DpmmNigGibbs sampler(heteroscedastic_observations(rng, 25), nig_config(2));
+        sampler.run(rng);
+        const auto& z = sampler.assignments();
+        for (std::size_t i = 0; i < 25; ++i) {
+            EXPECT_EQ(z[i], z[0]) << "tight cluster split, seed " << seed;
+            for (std::size_t j = 25; j < 50; ++j) {
+                ASSERT_NE(z[i], z[j]) << "planted clusters mixed, seed " << seed;
+            }
+        }
+        bool loose_whole = true;
+        for (std::size_t i = 26; i < 50; ++i) loose_whole = loose_whole && z[i] == z[25];
+        if (sampler.num_clusters() == 2 && loose_whole) ++exact;
+    }
+    EXPECT_GE(exact, seeds / 2);
 }
 
 TEST(DpmmNig, LearnsDifferentSpreads) {

@@ -31,43 +31,13 @@
 
 #include "edgesim/membership.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::edgesim {
 namespace {
 
-/// Pearson chi-square with small-expected-bin merging (bins with expected
-/// count < 5 pool into one synthetic bin), as in test_sampling_stats.cpp.
-double chi_square_statistic(const std::vector<std::uint64_t>& observed,
-                            const std::vector<double>& probabilities,
-                            std::uint64_t total_draws, std::size_t* df_out) {
-    EXPECT_EQ(observed.size(), probabilities.size());
-    double statistic = 0.0;
-    std::size_t bins = 0;
-    double pooled_expected = 0.0;
-    double pooled_observed = 0.0;
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-        const double expected = probabilities[i] * static_cast<double>(total_draws);
-        if (expected >= 5.0) {
-            const double diff = static_cast<double>(observed[i]) - expected;
-            statistic += diff * diff / expected;
-            ++bins;
-        } else {
-            pooled_expected += expected;
-            pooled_observed += static_cast<double>(observed[i]);
-        }
-    }
-    if (pooled_expected > 0.0) {
-        const double diff = pooled_observed - pooled_expected;
-        statistic += diff * diff / pooled_expected;
-        ++bins;
-    }
-    *df_out = bins > 1 ? bins - 1 : 1;
-    return statistic;
-}
-
-double critical_value(std::size_t df) {
-    return static_cast<double>(df) + 5.0 * std::sqrt(2.0 * static_cast<double>(df));
-}
+using test_support::chi_square_critical;
+using test_support::chi_square_statistic;
 
 /// One engine-shaped round: promotion, admissions in device order, then the
 /// heartbeat fold — the exact query pattern run_fleet_engine issues.
@@ -153,7 +123,7 @@ TEST(MembershipStats, SuspectSpellLengthsFollowTheTruncatedGeometric) {
     std::size_t df = 0;
     const std::uint64_t total = recoveries + deaths;
     const double statistic = chi_square_statistic(observed, probabilities, total, &df);
-    EXPECT_LT(statistic, critical_value(df)) << "chi2=" << statistic << " df=" << df;
+    EXPECT_LT(statistic, chi_square_critical(df)) << "chi2=" << statistic << " df=" << df;
 
     // Conditional on reaching the brink, the k-th miss (death) happens with
     // probability p: a 2-bin check at the same 5-sigma convention.
@@ -161,7 +131,7 @@ TEST(MembershipStats, SuspectSpellLengthsFollowTheTruncatedGeometric) {
     const double brink_stat = chi_square_statistic(
         {deaths, lengths[kThreshold - 1] - deaths}, {kLossProb, 1.0 - kLossProb},
         lengths[kThreshold - 1], &df2);
-    EXPECT_LT(brink_stat, critical_value(df2))
+    EXPECT_LT(brink_stat, chi_square_critical(df2))
         << "chi2=" << brink_stat << " df=" << df2;
 }
 
@@ -230,7 +200,7 @@ TEST(MembershipStats, RejoinInterArrivalsAreGeometric) {
 
     std::size_t df = 0;
     const double statistic = chi_square_statistic(observed, probabilities, samples, &df);
-    EXPECT_LT(statistic, critical_value(df)) << "chi2=" << statistic << " df=" << df;
+    EXPECT_LT(statistic, chi_square_critical(df)) << "chi2=" << statistic << " df=" << df;
 }
 
 TEST(MembershipStats, ChurnEventCountsScaleLinearlyWithTheRate) {

@@ -21,44 +21,13 @@
 #include "stats/alias_table.hpp"
 #include "stats/rng.hpp"
 #include "stats/weighted_reservoir.hpp"
+#include "test_support.hpp"
 
 namespace drel {
 namespace {
 
-/// Pearson chi-square with small-expected-bin merging: bins whose expected
-/// count falls below 5 pool into one synthetic bin. Returns the statistic
-/// and reports the post-merge degrees of freedom.
-double chi_square_statistic(const std::vector<std::uint64_t>& observed,
-                            const std::vector<double>& probabilities,
-                            std::uint64_t total_draws, std::size_t* df_out) {
-    EXPECT_EQ(observed.size(), probabilities.size());
-    double statistic = 0.0;
-    std::size_t bins = 0;
-    double pooled_expected = 0.0;
-    double pooled_observed = 0.0;
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-        const double expected = probabilities[i] * static_cast<double>(total_draws);
-        if (expected >= 5.0) {
-            const double diff = static_cast<double>(observed[i]) - expected;
-            statistic += diff * diff / expected;
-            ++bins;
-        } else {
-            pooled_expected += expected;
-            pooled_observed += static_cast<double>(observed[i]);
-        }
-    }
-    if (pooled_expected > 0.0) {
-        const double diff = pooled_observed - pooled_expected;
-        statistic += diff * diff / pooled_expected;
-        ++bins;
-    }
-    *df_out = bins > 1 ? bins - 1 : 1;
-    return statistic;
-}
-
-double critical_value(std::size_t df) {
-    return static_cast<double>(df) + 5.0 * std::sqrt(2.0 * static_cast<double>(df));
-}
+using test_support::chi_square_critical;
+using test_support::chi_square_statistic;
 
 void expect_alias_draws_fit(const std::vector<double>& weights, std::uint64_t draws,
                             std::uint64_t seed, const char* label) {
@@ -82,7 +51,7 @@ void expect_alias_draws_fit(const std::vector<double>& weights, std::uint64_t dr
 
     std::size_t df = 0;
     const double statistic = chi_square_statistic(counts, probabilities, draws, &df);
-    EXPECT_LT(statistic, critical_value(df))
+    EXPECT_LT(statistic, chi_square_critical(df))
         << label << ": chi2=" << statistic << " df=" << df;
 }
 
@@ -146,9 +115,9 @@ TEST(SamplingStatsAlias, MatchesCategoricalScanDistribution) {
     // is then bounded by the same chi-square scale.
     std::size_t df = 0;
     const double alias_stat = chi_square_statistic(alias_counts, weights, draws, &df);
-    EXPECT_LT(alias_stat, critical_value(df));
+    EXPECT_LT(alias_stat, chi_square_critical(df));
     const double scan_stat = chi_square_statistic(scan_counts, weights, draws, &df);
-    EXPECT_LT(scan_stat, critical_value(df));
+    EXPECT_LT(scan_stat, chi_square_critical(df));
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +144,7 @@ TEST(SamplingStatsReservoir, CapacityOneMatchesWeightedCategorical) {
     }
     std::size_t df = 0;
     const double statistic = chi_square_statistic(counts, probabilities, trials, &df);
-    EXPECT_LT(statistic, critical_value(df)) << "chi2=" << statistic << " df=" << df;
+    EXPECT_LT(statistic, chi_square_critical(df)) << "chi2=" << statistic << " df=" << df;
 }
 
 TEST(SamplingStatsReservoir, UniformWeightsIncludeUniformly) {
@@ -200,7 +169,7 @@ TEST(SamplingStatsReservoir, UniformWeightsIncludeUniformly) {
     std::size_t df = 0;
     const double statistic =
         chi_square_statistic(counts, probabilities, trials * k, &df);
-    EXPECT_LT(statistic, critical_value(df)) << "chi2=" << statistic << " df=" << df;
+    EXPECT_LT(statistic, chi_square_critical(df)) << "chi2=" << statistic << " df=" << df;
 
     // Exact invariant, every trial: exactly k survivors from n offers.
     std::uint64_t total = 0;
@@ -256,7 +225,7 @@ TEST(SamplingStatsReservoir, MatchesNaiveTopkDistributionAtCapacityOne) {
     for (std::size_t i = 0; i < weights.size(); ++i) probabilities[i] = weights[i] / total;
     std::size_t df = 0;
     const double statistic = chi_square_statistic(naive_counts, probabilities, trials, &df);
-    EXPECT_LT(statistic, critical_value(df))
+    EXPECT_LT(statistic, chi_square_critical(df))
         << "naive oracle off its own closed form: chi2=" << statistic;
 }
 

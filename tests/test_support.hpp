@@ -4,6 +4,9 @@
 // the locals it replaced, so adopting it never shifts a test's data.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -21,6 +24,45 @@ namespace drel::test_support {
 /// (== would conflate -0.0/0.0 and is a lint trap for exact checks).
 inline bool bits_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Pearson chi-square with small-expected-bin merging: bins whose expected
+/// count falls below 5 pool into one synthetic bin, per standard practice.
+/// Returns the statistic and reports the post-merge degrees of freedom.
+inline double chi_square_statistic(const std::vector<std::uint64_t>& observed,
+                                   const std::vector<double>& probabilities,
+                                   std::uint64_t total_draws, std::size_t* df_out) {
+    EXPECT_EQ(observed.size(), probabilities.size());
+    double statistic = 0.0;
+    std::size_t bins = 0;
+    double pooled_expected = 0.0;
+    double pooled_observed = 0.0;
+    for (std::size_t i = 0; i < observed.size(); ++i) {
+        const double expected = probabilities[i] * static_cast<double>(total_draws);
+        if (expected >= 5.0) {
+            const double diff = static_cast<double>(observed[i]) - expected;
+            statistic += diff * diff / expected;
+            ++bins;
+        } else {
+            pooled_expected += expected;
+            pooled_observed += static_cast<double>(observed[i]);
+        }
+    }
+    if (pooled_expected > 0.0) {
+        const double diff = pooled_observed - pooled_expected;
+        statistic += diff * diff / pooled_expected;
+        ++bins;
+    }
+    *df_out = bins > 1 ? bins - 1 : 1;
+    return statistic;
+}
+
+/// Critical value df + 5*sqrt(2*df): roughly five standard deviations above
+/// the chi-square mean. The statistical suites draw from fixed seeds, so a
+/// statistic is a deterministic number; this bound is far past any healthy
+/// draw yet far below what a real distribution bug produces.
+inline double chi_square_critical(std::size_t df) {
+    return static_cast<double>(df) + 5.0 * std::sqrt(2.0 * static_cast<double>(df));
 }
 
 /// Small binary-task dataset from a 2-mode synthetic population
