@@ -60,18 +60,17 @@ class MStepObjective final : public optim::Objective {
 
     double eval(const linalg::Vector& theta, linalg::Vector* grad) const override {
         util::Workspace& ws = util::Workspace::local();
-        double value = robust_.eval(theta, grad);
-        value -= weight_ * prior_.em_surrogate_ws(theta, r_, ws);
-        if (grad) {
-            // Accumulate the surrogate gradient in leased scratch, then fold
-            // it in with one axpy — the same two-stage order (and bits) as
-            // axpy(-w, em_surrogate_gradient(theta, r), grad), minus the
-            // allocation per L-BFGS line-search probe.
-            auto g = ws.vec(dim());
-            prior_.em_surrogate_gradient_into(theta, r_, *g, ws);
-            linalg::axpy_n(-weight_, g->data(), grad->data(), dim());
-        }
-        return value;
+        const double value = robust_.eval(theta, grad);
+        if (!grad) return value - weight_ * prior_.em_surrogate_ws(theta, r_, ws);
+        // The fused kernel computes the surrogate value and its gradient in
+        // one pass over the atoms. The gradient accumulates in leased
+        // scratch and folds in with one axpy: the same two-stage order (and
+        // bits) as axpy(-w, em_surrogate_gradient(theta, r), grad), minus
+        // the allocation per L-BFGS line-search probe.
+        auto g = ws.vec(dim());
+        const double surrogate = prior_.em_surrogate_and_gradient_into(theta, r_, *g, ws);
+        linalg::axpy_n(-weight_, g->data(), grad->data(), dim());
+        return value - weight_ * surrogate;
     }
 
  private:

@@ -44,6 +44,12 @@ DpmmGibbs::DpmmGibbs(std::vector<linalg::Vector> observations, DpmmConfig config
     linalg::Vector total = linalg::zeros(dim_);
     for (const auto& obs : observations_) linalg::axpy(1.0, obs, total);
     sums_.assign(1, total);
+    means_.resize(1);
+    mean_valid_.assign(1, 0);
+    const linalg::Vector no_sum;
+    for (const auto& obs : observations_) {
+        base_log_pdf_.push_back(predictive_log_pdf(obs, 0, no_sum));
+    }
 }
 
 const DpmmGibbs::CountCache& DpmmGibbs::count_cache(std::size_t count) const {
@@ -91,46 +97,71 @@ void DpmmGibbs::posterior_of_mean(std::size_t count, const linalg::Vector& sum,
     cov_out = chol.inverse();
 }
 
-double DpmmGibbs::predictive_log_pdf(const linalg::Vector& x, std::size_t count,
-                                     const linalg::Vector& sum) const {
-    static constexpr double kLogTwoPi = 1.8378770664093454836;
-    const CountCache& cache = count_cache(count);
+void DpmmGibbs::predictive_mean_into(std::size_t count, const linalg::Vector& sum,
+                                     linalg::Vector& mean) const {
+    // mean = Lambda^{-1} (S0^{-1} m0 + Sw^{-1} s), with the same
+    // substitution order as chol.solve(rhs). Shared by the cached and the
+    // uncached predictive, so both produce the same bits.
     util::Workspace& ws = util::Workspace::local();
-    auto diff = ws.vec(dim_);
-    if (count == 0) {
-        linalg::sub_into(x, config_.base_mean, *diff);
-    } else {
-        // mean = Lambda^{-1} (S0^{-1} m0 + Sw^{-1} s), solved in leased
-        // scratch with the same substitution order as chol.solve(rhs).
-        auto rhs = ws.vec(dim_);
-        auto mv = ws.vec(dim_);
-        *rhs = base_precision_m0_;
-        within_precision_.matvec_into(sum, *mv);
-        linalg::axpy_n(1.0, mv->data(), rhs->data(), dim_);
-        cache.chol_lambda->solve_in_place(*rhs);
-        linalg::sub_into(x, *rhs, *diff);
-    }
+    auto mv = ws.vec(dim_);
+    mean = base_precision_m0_;
+    within_precision_.matvec_into(sum, *mv);
+    linalg::axpy_n(1.0, mv->data(), mean.data(), dim_);
+    count_cache(count).chol_lambda->solve_in_place(mean);
+}
+
+double DpmmGibbs::predictive_log_pdf_at(const linalg::Vector& x, const linalg::Vector& mean,
+                                        const CountCache& cache) const {
+    static constexpr double kLogTwoPi = 1.8378770664093454836;
+    auto diff = util::Workspace::local().vec(dim_);
+    linalg::sub_into(x, mean, *diff);
     cache.chol_pred->solve_lower_in_place(*diff);
     const double quad = linalg::dot_n(diff->data(), diff->data(), dim_);
     return -0.5 * (static_cast<double>(dim_) * kLogTwoPi + cache.log_det_pred + quad);
+}
+
+double DpmmGibbs::predictive_log_pdf(const linalg::Vector& x, std::size_t count,
+                                     const linalg::Vector& sum) const {
+    if (count == 0) return predictive_log_pdf_at(x, config_.base_mean, count_cache(0));
+    auto mean = util::Workspace::local().vec(dim_);
+    predictive_mean_into(count, sum, *mean);
+    return predictive_log_pdf_at(x, *mean, count_cache(count));
+}
+
+const linalg::Vector& DpmmGibbs::cluster_mean(std::size_t k) {
+    if (!mean_valid_[k]) {
+        predictive_mean_into(counts_[k], sums_[k], means_[k]);
+        mean_valid_[k] = 1;
+    }
+    return means_[k];
+}
+
+double DpmmGibbs::cluster_predictive_log_pdf(const linalg::Vector& x, std::size_t k) {
+    const linalg::Vector& mean = cluster_mean(k);
+    return predictive_log_pdf_at(x, mean, count_cache(counts_[k]));
 }
 
 void DpmmGibbs::remove_observation(std::size_t j) {
     const std::size_t k = assignments_[j];
     counts_[k] -= 1;
     linalg::axpy(-1.0, observations_[j], sums_[k]);
+    mean_valid_[k] = 0;
     if (counts_[k] == 0) {
-        // Compact: move the last cluster into slot k.
+        // Compact: move the last cluster (and its cached mean) into slot k.
         const std::size_t last = counts_.size() - 1;
         if (k != last) {
             counts_[k] = counts_[last];
             sums_[k] = std::move(sums_[last]);
+            means_[k] = std::move(means_[last]);
+            mean_valid_[k] = mean_valid_[last];
             for (std::size_t& z : assignments_) {
                 if (z == last) z = k;
             }
         }
         counts_.pop_back();
         sums_.pop_back();
+        means_.pop_back();
+        mean_valid_.pop_back();
     }
 }
 
@@ -138,31 +169,35 @@ void DpmmGibbs::insert_observation(std::size_t j, std::size_t cluster) {
     if (cluster == counts_.size()) {
         counts_.push_back(0);
         sums_.push_back(linalg::zeros(dim_));
+        means_.emplace_back();
+        mean_valid_.push_back(0);
     }
     assignments_[j] = cluster;
     counts_[cluster] += 1;
     linalg::axpy(1.0, observations_[j], sums_[cluster]);
+    mean_valid_[cluster] = 0;
+}
+
+void DpmmGibbs::assign_observation(std::size_t j, stats::Rng& rng) {
+    // Log-weights: existing clusters by size x predictive, new by alpha.
+    auto log_weights = util::Workspace::local().vec(counts_.size() + 1);
+    for (std::size_t k = 0; k < counts_.size(); ++k) {
+        (*log_weights)[k] = std::log(static_cast<double>(counts_[k])) +
+                            cluster_predictive_log_pdf(observations_[j], k);
+    }
+    log_weights->back() = std::log(config_.alpha) + base_log_pdf_[j];
+    linalg::softmax_inplace(*log_weights);
+    assignment_sampler_.rebuild(log_weights->data(), log_weights->size());
+    insert_observation(j, assignment_sampler_.draw(rng));
 }
 
 void DpmmGibbs::sweep(stats::Rng& rng) {
     DREL_PROFILE_SCOPE("dpmm.sweep");
     static obs::Counter& sweeps = obs::Registry::global().counter("dp.gibbs_sweeps");
     sweeps.add(1);
-    util::Workspace& ws = util::Workspace::local();
-    const linalg::Vector empty_sum;
     for (std::size_t j = 0; j < observations_.size(); ++j) {
         remove_observation(j);
-        // Log-weights: existing clusters by size x predictive, new by alpha.
-        auto log_weights = ws.vec(counts_.size() + 1);
-        for (std::size_t k = 0; k < counts_.size(); ++k) {
-            (*log_weights)[k] = std::log(static_cast<double>(counts_[k])) +
-                                predictive_log_pdf(observations_[j], counts_[k], sums_[k]);
-        }
-        log_weights->back() = std::log(config_.alpha) +
-                              predictive_log_pdf(observations_[j], 0, empty_sum);
-        linalg::softmax_inplace(*log_weights);
-        assignment_sampler_.rebuild(log_weights->data(), log_weights->size());
-        insert_observation(j, assignment_sampler_.draw(rng));
+        assign_observation(j, rng);
     }
     if (config_.resample_alpha) resample_alpha(rng);
 }
@@ -177,20 +212,8 @@ void DpmmGibbs::add_observation(linalg::Vector theta, stats::Rng& rng, int refre
     observations_.push_back(std::move(theta));
     const std::size_t j = observations_.size() - 1;
     assignments_.push_back(0);  // placeholder; chosen below
-
-    util::Workspace& ws = util::Workspace::local();
-    {
-        auto log_weights = ws.vec(counts_.size() + 1);
-        for (std::size_t k = 0; k < counts_.size(); ++k) {
-            (*log_weights)[k] = std::log(static_cast<double>(counts_[k])) +
-                                predictive_log_pdf(observations_[j], counts_[k], sums_[k]);
-        }
-        log_weights->back() = std::log(config_.alpha) +
-                              predictive_log_pdf(observations_[j], 0, linalg::Vector{});
-        linalg::softmax_inplace(*log_weights);
-        assignment_sampler_.rebuild(log_weights->data(), log_weights->size());
-        insert_observation(j, assignment_sampler_.draw(rng));
-    }
+    base_log_pdf_.push_back(predictive_log_pdf(observations_[j], 0, linalg::Vector{}));
+    assign_observation(j, rng);
     for (int s = 0; s < refresh_sweeps; ++s) sweep(rng);
 }
 
@@ -214,6 +237,8 @@ void DpmmGibbs::run(stats::Rng& rng) {
     assignments_ = std::move(best_assignments);
     counts_.assign(k, 0);
     sums_.assign(k, linalg::zeros(dim_));
+    means_.resize(k);
+    mean_valid_.assign(k, 0);
     for (std::size_t j = 0; j < observations_.size(); ++j) {
         counts_[assignments_[j]] += 1;
         linalg::axpy(1.0, observations_[j], sums_[assignments_[j]]);

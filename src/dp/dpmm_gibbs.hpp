@@ -93,6 +93,7 @@ class DpmmGibbs {
  private:
     /// Predictive log-density of x for a cluster with `count` members
     /// summing to `sum`; count==0 gives the base predictive N(m0, S0+Sw).
+    /// Uncached: builds the predictive mean from scratch (log_joint's path).
     double predictive_log_pdf(const linalg::Vector& x, std::size_t count,
                               const linalg::Vector& sum) const;
 
@@ -121,6 +122,24 @@ class DpmmGibbs {
     };
     const CountCache& count_cache(std::size_t count) const;
 
+    /// Writes the predictive mean of a cluster with count >= 1 members.
+    void predictive_mean_into(std::size_t count, const linalg::Vector& sum,
+                              linalg::Vector& mean) const;
+
+    /// Gaussian log-density of x under Pred(n), centred at `mean`.
+    double predictive_log_pdf_at(const linalg::Vector& x, const linalg::Vector& mean,
+                                 const CountCache& cache) const;
+
+    /// predictive_log_pdf for occupied cluster k, from its cached mean.
+    double cluster_predictive_log_pdf(const linalg::Vector& x, std::size_t k);
+
+    /// Cluster k's predictive mean, rebuilt only if k changed since.
+    const linalg::Vector& cluster_mean(std::size_t k);
+
+    /// Log-weights of placing observation j into each occupied cluster and,
+    /// last, a new one; then draws and inserts its cluster.
+    void assign_observation(std::size_t j, stats::Rng& rng);
+
     std::vector<linalg::Vector> observations_;
     DpmmConfig config_;
     std::size_t dim_;
@@ -133,6 +152,20 @@ class DpmmGibbs {
     std::vector<std::size_t> assignments_;
     std::vector<std::size_t> counts_;          ///< per-cluster member count
     std::vector<linalg::Vector> sums_;         ///< per-cluster member sum
+
+    // Per-cluster predictive mean Lambda(n)^{-1} (S0^{-1} m0 + Sw^{-1} s),
+    // valid while mean_valid_[k] is set. Every change to counts_[k] or
+    // sums_[k] clears the flag (the compaction swap moves the flag with the
+    // cluster; the MAP restore in run() clears them all), and cluster_mean()
+    // rebuilds it with the exact operation sequence predictive_log_pdf
+    // uses. A sweep visit changes at most two clusters, so the other K-2
+    // means are reused instead of rebuilt.
+    std::vector<linalg::Vector> means_;
+    std::vector<char> mean_valid_;
+
+    /// Base (count 0) predictive of each observation: depends only on the
+    /// observation and the config, so it is computed once, on arrival.
+    std::vector<double> base_log_pdf_;
 
     /// Lazily filled, indexed by count. Mutable: filling it is a pure
     /// memoization of deterministic factorizations. Not thread-safe, like

@@ -128,6 +128,26 @@ void MixturePrior::em_surrogate_gradient_into(const linalg::Vector& theta,
     }
 }
 
+double MixturePrior::em_surrogate_and_gradient_into(const linalg::Vector& theta,
+                                                    const linalg::Vector& r,
+                                                    linalg::Vector& grad,
+                                                    util::Workspace& ws) const {
+    em_surrogate_evals().add(1);
+    if (r.size() != num_components()) {
+        throw std::invalid_argument(
+            "MixturePrior::em_surrogate_and_gradient: responsibility size mismatch");
+    }
+    double acc = 0.0;
+    grad.assign(dim(), 0.0);
+    for (std::size_t k = 0; k < num_components(); ++k) {
+        if (r[k] == 0.0) continue;
+        const double log_density =
+            atoms_[k].log_pdf_and_add_scaled_precision_residual(theta, -r[k], grad, ws);
+        acc += r[k] * (log_weights_[k] + log_density);
+    }
+    return acc;
+}
+
 linalg::Vector MixturePrior::mean() const {
     linalg::Vector m = linalg::zeros(dim());
     for (std::size_t k = 0; k < num_components(); ++k) {

@@ -65,6 +65,14 @@ class MixturePrior {
     void em_surrogate_gradient_into(const linalg::Vector& theta, const linalg::Vector& r,
                                     linalg::Vector& grad, util::Workspace& ws) const;
 
+    /// em_surrogate_ws and em_surrogate_gradient_into in one pass over the
+    /// atoms, sharing each atom's residual solve: returns the value and
+    /// writes the gradient, both bit-identical to the separate calls (same
+    /// accumulation order). Counts one surrogate evaluation. The separate
+    /// entry points stay as its differential-test reference.
+    double em_surrogate_and_gradient_into(const linalg::Vector& theta, const linalg::Vector& r,
+                                          linalg::Vector& grad, util::Workspace& ws) const;
+
     /// Mixture mean sum_k pi_k mu_k.
     linalg::Vector mean() const;
 

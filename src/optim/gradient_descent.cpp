@@ -14,6 +14,7 @@ OptimResult minimize_gradient_descent(const Objective& objective, linalg::Vector
     if (x0.size() != objective.dim()) {
         throw std::invalid_argument("minimize_gradient_descent: x0 dimension mismatch");
     }
+    DREL_PROFILE_SCOPE("optim.gd");
     OptimResult result;
     result.x = std::move(x0);
     linalg::Vector grad;
@@ -21,7 +22,6 @@ OptimResult minimize_gradient_descent(const Objective& objective, linalg::Vector
     double step_hint = options.initial_step;
 
     for (int it = 0; it < options.stopping.max_iterations; ++it) {
-        result.iterations = it;
         const double gnorm = linalg::norm_inf(grad);
         if (gnorm <= options.stopping.grad_tolerance) {
             result.converged = true;
@@ -39,20 +39,19 @@ OptimResult minimize_gradient_descent(const Objective& objective, linalg::Vector
         const double f_new = objective.eval(result.x, &grad);
         const double decrease = fx - f_new;
         fx = f_new;
+        result.iterations = it + 1;
         // Warm-start the next search near the accepted step.
         step_hint = std::max(ls.step * 2.0, 1e-12);
         if (decrease >= 0.0 &&
             decrease <= options.stopping.value_tolerance * (std::fabs(fx) + 1.0)) {
             result.converged = true;
             result.message = "value tolerance reached";
-            result.iterations = it + 1;
             break;
         }
     }
     result.value = fx;
     result.grad_norm = linalg::norm_inf(grad);
     if (result.message.empty()) result.message = "max iterations reached";
-    DREL_PROFILE_SCOPE("optim.gd");
     static obs::Counter& solves = obs::Registry::global().counter("optim.gd_solves");
     static obs::Counter& iterations = obs::Registry::global().counter("optim.gd_iterations");
     solves.add(1);
@@ -75,7 +74,6 @@ OptimResult minimize_projected_gradient(const Objective& objective, linalg::Vect
     double fx = objective.eval(result.x, &grad);
 
     for (int it = 0; it < options.stopping.max_iterations; ++it) {
-        result.iterations = it;
         double step = options.step;
         bool accepted = false;
         linalg::Vector candidate;
@@ -102,10 +100,10 @@ OptimResult minimize_projected_gradient(const Objective& objective, linalg::Vect
         result.x = std::move(candidate);
         fx = objective.eval(result.x, &grad);
         (void)f_candidate;
+        result.iterations = it + 1;
         if (move <= options.stopping.grad_tolerance) {
             result.converged = true;
             result.message = "projected step tolerance reached";
-            result.iterations = it + 1;
             break;
         }
     }

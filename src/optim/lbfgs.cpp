@@ -3,6 +3,7 @@
 #include <cmath>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -31,7 +32,6 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
     std::deque<Correction> history;
 
     for (int it = 0; it < options.stopping.max_iterations; ++it) {
-        result.iterations = it;
         const double gnorm = linalg::norm_inf(grad);
         if (gnorm <= options.stopping.grad_tolerance) {
             result.converged = true;
@@ -68,17 +68,19 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
         const double init_step = history.empty()
                                      ? 1.0 / std::max(1.0, linalg::norm2(grad))
                                      : 1.0;
-        const LineSearchResult ls = strong_wolfe(objective, result.x, fx, grad, direction,
-                                                 init_step, options.c1, options.c2);
+        LineSearchResult ls = strong_wolfe(objective, result.x, fx, grad, direction,
+                                           init_step, options.c1, options.c2);
         if (!ls.success) {
             result.message = "line search failed";
             break;
         }
 
+        // The search's last probe was this exact point (same copy + axpy),
+        // so its value and gradient are f and ∇f here; no re-evaluation.
         linalg::Vector x_new = result.x;
         linalg::axpy(ls.step, direction, x_new);
-        linalg::Vector grad_new;
-        const double f_new = objective.eval(x_new, &grad_new);
+        linalg::Vector grad_new = std::move(ls.gradient);
+        const double f_new = ls.value;
 
         Correction c;
         c.s = linalg::sub(x_new, result.x);
@@ -96,11 +98,11 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
         result.x = std::move(x_new);
         grad = std::move(grad_new);
         fx = f_new;
+        result.iterations = it + 1;
         if (decrease >= 0.0 &&
             decrease <= options.stopping.value_tolerance * (std::fabs(fx) + 1.0)) {
             result.converged = true;
             result.message = "value tolerance reached";
-            result.iterations = it + 1;
             break;
         }
     }

@@ -1,6 +1,7 @@
 #include "optim/line_search.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace drel::optim {
 namespace {
@@ -44,12 +45,23 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
     const double slope0 = linalg::dot(grad, direction);
     if (!(slope0 < 0.0)) return result;
 
-    auto phi = [&](double t, double* dphi) {
+    // Each probe fills a fresh gradient vector and keeps it: every success
+    // path below accepts the point it probed last, and hands that probe's
+    // gradient back.
+    linalg::Vector last_grad;
+    auto phi = [&](double t, double& dphi) {
         linalg::Vector g;
         const double f = objective.eval(advance(x, t, direction), &g);
         ++result.evaluations;
-        if (dphi) *dphi = linalg::dot(g, direction);
+        dphi = linalg::dot(g, direction);
+        last_grad = std::move(g);
         return f;
+    };
+    auto accept = [&](double t, double f) {
+        result.step = t;
+        result.value = f;
+        result.gradient = std::move(last_grad);
+        result.success = true;
     };
 
     // Zoom stage (Nocedal & Wright algorithm 3.6): bisection-based.
@@ -57,14 +69,12 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
         for (int z = 0; z < max_evals; ++z) {
             const double t = 0.5 * (lo + hi);
             double dphi_t = 0.0;
-            const double f_t = phi(t, &dphi_t);
+            const double f_t = phi(t, dphi_t);
             if (!std::isfinite(f_t) || f_t > fx + c1 * t * slope0 || f_t >= f_lo) {
                 hi = t;
             } else {
                 if (std::fabs(dphi_t) <= -c2 * slope0) {
-                    result.step = t;
-                    result.value = f_t;
-                    result.success = true;
+                    accept(t, f_t);
                     return true;
                 }
                 if (dphi_t * (hi - lo) >= 0.0) hi = lo;
@@ -76,11 +86,9 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
         // Accept the best Armijo point found even if curvature failed; this
         // keeps L-BFGS making progress on ill-conditioned tails.
         double dphi_lo = 0.0;
-        const double f_final = phi(lo, &dphi_lo);
+        const double f_final = phi(lo, dphi_lo);
         if (lo > 0.0 && std::isfinite(f_final) && f_final <= fx + c1 * lo * slope0) {
-            result.step = lo;
-            result.value = f_final;
-            result.success = true;
+            accept(lo, f_final);
             return true;
         }
         return false;
@@ -92,15 +100,13 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
     const double t_max = 1e10;
     for (int e = 0; e < max_evals; ++e) {
         double dphi_t = 0.0;
-        const double f_t = phi(t, &dphi_t);
+        const double f_t = phi(t, dphi_t);
         if (!std::isfinite(f_t) || f_t > fx + c1 * t * slope0 || (e > 0 && f_t >= f_prev)) {
             zoom(t_prev, f_prev, t);
             return result;
         }
         if (std::fabs(dphi_t) <= -c2 * slope0) {
-            result.step = t;
-            result.value = f_t;
-            result.success = true;
+            accept(t, f_t);
             return result;
         }
         if (dphi_t >= 0.0) {

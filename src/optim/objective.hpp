@@ -20,6 +20,9 @@ class Objective {
     virtual std::size_t dim() const = 0;
 
     /// Returns f(x); if `grad` is non-null it is resized and filled with ∇f(x).
+    /// Must be pure: the same x gives the same bits on every call. L-BFGS
+    /// relies on it to take the accepted point's value and gradient from
+    /// the line search instead of evaluating there again.
     virtual double eval(const linalg::Vector& x, linalg::Vector* grad) const = 0;
 
     double value(const linalg::Vector& x) const { return eval(x, nullptr); }

@@ -96,6 +96,22 @@ void MultivariateNormal::add_scaled_precision_residual(const linalg::Vector& x, 
     linalg::axpy_n(coeff, r->data(), out.data(), dim());
 }
 
+double MultivariateNormal::log_pdf_and_add_scaled_precision_residual(
+    const linalg::Vector& x, double coeff, linalg::Vector& out, util::Workspace& ws) const {
+    if (x.size() != dim() || out.size() != dim()) {
+        throw std::invalid_argument(
+            "MultivariateNormal::log_pdf_and_add_scaled_precision_residual: "
+            "dimension mismatch");
+    }
+    auto r = ws.vec(dim());
+    linalg::sub_into(x, mean_, *r);
+    chol_.solve_lower_in_place(*r);
+    const double quad = linalg::dot_n(r->data(), r->data(), dim());
+    chol_.solve_upper_in_place(*r);
+    linalg::axpy_n(coeff, r->data(), out.data(), dim());
+    return -0.5 * (static_cast<double>(dim()) * kLogTwoPi + log_det_ + quad);
+}
+
 linalg::Vector MultivariateNormal::sample(Rng& rng) const {
     // x = mean + L z with z ~ N(0, I).
     const linalg::Vector z = rng.standard_normal_vector(dim());

@@ -56,6 +56,15 @@ class MultivariateNormal {
     void add_scaled_precision_residual(const linalg::Vector& x, double coeff,
                                        linalg::Vector& out, util::Workspace& ws) const;
 
+    /// log_pdf_ws and add_scaled_precision_residual fused: one residual and
+    /// one lower solve serve both. The quadratic form of L⁻¹(x - mean) gives
+    /// the value; an upper solve of the same buffer gives Σ⁻¹(x - mean).
+    /// Returns bits identical to log_pdf_ws and leaves `out` bit-identical to
+    /// the separate call.
+    double log_pdf_and_add_scaled_precision_residual(const linalg::Vector& x, double coeff,
+                                                     linalg::Vector& out,
+                                                     util::Workspace& ws) const;
+
     linalg::Vector sample(Rng& rng) const;
 
  private:

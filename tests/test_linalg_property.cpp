@@ -39,6 +39,7 @@ using drel::linalg::Cholesky;
 using drel::linalg::Matrix;
 using drel::linalg::Vector;
 using drel::test_support::bits_equal;
+using drel::test_support::vectors_bits_equal;
 namespace reference = drel::linalg::reference;
 
 constexpr std::size_t kMaxSize = 64;
@@ -62,14 +63,6 @@ bool matrices_bits_equal(const Matrix& a, const Matrix& b) {
         for (std::size_t c = 0; c < a.cols(); ++c) {
             if (!bits_equal(a(r, c), b(r, c))) return false;
         }
-    }
-    return true;
-}
-
-bool vectors_bits_equal(const Vector& a, const Vector& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!bits_equal(a[i], b[i])) return false;
     }
     return true;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/matrix.hpp"
@@ -11,9 +12,13 @@
 #include "optim/objective.hpp"
 #include "optim/scalar.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::optim {
 namespace {
+
+using test_support::bits_equal;
+using test_support::vectors_bits_equal;
 
 /// f(x) = 0.5 x^T A x - b^T x with SPD A; optimum at A x = b.
 class QuadraticObjective final : public Objective {
@@ -59,6 +64,28 @@ class RosenbrockObjective final : public Objective {
         }
         return a * a + 100.0 * b * b;
     }
+};
+
+/// Forwards to another objective and counts evaluations. It also counts
+/// gradient out-vectors that arrive non-empty: L-BFGS hands every
+/// evaluation a fresh one.
+class CountingObjective final : public Objective {
+ public:
+    explicit CountingObjective(const Objective& inner) : inner_(inner) {}
+
+    std::size_t dim() const override { return inner_.dim(); }
+
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        ++evaluations;
+        if (grad && !grad->empty()) ++non_empty_gradients;
+        return inner_.eval(x, grad);
+    }
+
+    mutable int evaluations = 0;
+    mutable int non_empty_gradients = 0;
+
+ private:
+    const Objective& inner_;
 };
 
 // ----------------------------------------------------------- finite checks
@@ -113,8 +140,13 @@ TEST(LineSearch, StrongWolfeSatisfiesBothConditions) {
     linalg::Vector x_new = x;
     linalg::axpy(r.step, d, x_new);
     linalg::Vector grad_new;
-    q.eval(x_new, &grad_new);
+    const double f_new = q.eval(x_new, &grad_new);
     EXPECT_LE(std::fabs(linalg::dot(grad_new, d)), -c2 * linalg::dot(grad, d) + 1e-9);
+    // The returned value and gradient are a fresh evaluation's bits at the
+    // accepted point formed as copy + axpy, which is what L-BFGS relies on
+    // to skip re-evaluating there.
+    EXPECT_TRUE(bits_equal(r.value, f_new));
+    EXPECT_TRUE(vectors_bits_equal(r.gradient, grad_new));
 }
 
 // --------------------------------------------------------- gradient descent
@@ -192,6 +224,70 @@ TEST(Lbfgs, FasterThanGradientDescentOnIllConditioned) {
     gd_options.stopping.max_iterations = lbfgs.iterations + 5;
     const OptimResult gd = minimize_gradient_descent(q, linalg::zeros(10), gd_options);
     EXPECT_LT(lbfgs.value, gd.value - 1e-8);  // same budget, L-BFGS strictly better
+}
+
+// L-BFGS evaluates the objective once at x0 and otherwise only inside its
+// line searches: the accepted point's value and gradient come back from the
+// search. Each one-iteration solve below is replayed against a direct
+// strong_wolfe call from the same start (steepest descent, the solver's
+// first-iteration step), so the solve must cost exactly 1 + that search's
+// evaluations and land on the bits the search accepted.
+TEST(Lbfgs, EvaluatesOnlyInsideLineSearches) {
+    const RosenbrockObjective rosenbrock;
+    const CountingObjective counted(rosenbrock);
+    LbfgsOptions options;
+    options.stopping.max_iterations = 1;
+    linalg::Vector x{-1.2, 1.0};
+    int multi_probe_searches = 0;
+    for (int step = 0; step < 40; ++step) {
+        linalg::Vector grad;
+        const double fx = rosenbrock.eval(x, &grad);
+        const linalg::Vector d = linalg::scaled(grad, -1.0);
+        const double init_step = 1.0 / std::max(1.0, linalg::norm2(grad));
+        const LineSearchResult ls =
+            strong_wolfe(rosenbrock, x, fx, grad, d, init_step, options.c1, options.c2);
+        ASSERT_TRUE(ls.success) << "step " << step;
+        if (ls.evaluations > 1) ++multi_probe_searches;
+
+        counted.evaluations = 0;
+        const OptimResult r = minimize_lbfgs(counted, x, options);
+        EXPECT_EQ(counted.evaluations, 1 + ls.evaluations) << "step " << step;
+        linalg::Vector x_ls = x;
+        linalg::axpy(ls.step, d, x_ls);
+        EXPECT_TRUE(vectors_bits_equal(r.x, x_ls)) << "step " << step;
+        EXPECT_TRUE(bits_equal(r.value, ls.value)) << "step " << step;
+        EXPECT_TRUE(bits_equal(r.grad_norm, linalg::norm_inf(ls.gradient))) << "step " << step;
+        x = r.x;
+    }
+    EXPECT_EQ(counted.non_empty_gradients, 0);
+    EXPECT_GT(multi_probe_searches, 0) << "no search left its first probe";
+}
+
+// A solve that exits on the iteration cap ran exactly that many iterations.
+TEST(Lbfgs, MaxIterationsExitReportsTheCap) {
+    LbfgsOptions options;
+    options.stopping.max_iterations = 3;
+    const OptimResult r = minimize_lbfgs(RosenbrockObjective{}, {-1.2, 1.0}, options);
+    EXPECT_EQ(r.message, "max iterations reached");
+    EXPECT_EQ(r.iterations, 3);
+}
+
+TEST(GradientDescent, MaxIterationsExitReportsTheCap) {
+    const RosenbrockObjective f;
+    const linalg::Vector x0{-1.2, 1.0};
+    GradientDescentOptions gd_options;
+    gd_options.stopping.max_iterations = 3;
+    const OptimResult gd = minimize_gradient_descent(f, x0, gd_options);
+    EXPECT_EQ(gd.message, "max iterations reached");
+    EXPECT_EQ(gd.iterations, 3);
+
+    ProjectedGradientOptions pg_options;
+    pg_options.stopping.max_iterations = 3;
+    pg_options.step = 1e-3;
+    const Projection identity = [](const linalg::Vector& v) { return v; };
+    const OptimResult pg = minimize_projected_gradient(f, x0, identity, pg_options);
+    EXPECT_EQ(pg.message, "max iterations reached");
+    EXPECT_EQ(pg.iterations, 3);
 }
 
 TEST(Lbfgs, RespectsHistoryValidation) {

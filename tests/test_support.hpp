@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,6 +26,25 @@ namespace drel::test_support {
 /// (== would conflate -0.0/0.0 and is a lint trap for exact checks).
 inline bool bits_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// bits_equal over whole vectors (sizes must match too).
+inline bool vectors_bits_equal(const linalg::Vector& a, const linalg::Vector& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (!bits_equal(a[i], b[i])) return false;
+    }
+    return true;
+}
+
+/// Raw f64 bit pattern as 16 hex digits. Pins of float results record
+/// these, so a match means bit-identical, not equal-when-printed.
+inline std::string hex_bits(double value) {
+    std::uint64_t pattern = 0;
+    std::memcpy(&pattern, &value, sizeof(pattern));
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(pattern));
+    return buffer;
 }
 
 /// Pearson chi-square with small-expected-bin merging: bins whose expected
