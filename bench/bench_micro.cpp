@@ -12,9 +12,7 @@
 #include "edgesim/transfer.hpp"
 #include "linalg/cholesky.hpp"
 #include "models/erm_objective.hpp"
-#include "models/stochastic_erm.hpp"
 #include "optim/lbfgs.hpp"
-#include "optim/sgd.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -141,20 +139,6 @@ void BM_LbfgsErmFit(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_LbfgsErmFit);
-
-void BM_SgdEpoch(benchmark::State& state) {
-    const models::Dataset d = bench_dataset(state.range(0), 8);
-    const auto loss = models::make_logistic_loss();
-    const models::StochasticErm stochastic(d, *loss, 0.01);
-    stats::Rng rng(11);
-    optim::SgdOptions options;
-    options.epochs = 1;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            optim::minimize_sgd(stochastic, linalg::zeros(d.dim()), rng, options));
-    }
-}
-BENCHMARK(BM_SgdEpoch)->Arg(128)->Arg(1024);
 
 void BM_PriorEncodeDecode(benchmark::State& state) {
     const dp::MixturePrior prior = bench_prior(9, 6);

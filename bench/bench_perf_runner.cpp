@@ -39,14 +39,10 @@
 #include "edgesim/simulation.hpp"
 #include "edgesim/transfer.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/eigen_sym.hpp"
 #include "linalg/vector_ops.hpp"
-#include "linalg/qr.hpp"
 #include "models/erm_objective.hpp"
-#include "models/stochastic_erm.hpp"
 #include "obs/json.hpp"
 #include "optim/lbfgs.hpp"
-#include "optim/sgd.hpp"
 #include "stats/alias_table.hpp"
 #include "stats/rng.hpp"
 #include "util/executor.hpp"
@@ -173,23 +169,6 @@ std::vector<BenchSpec> build_registry() {
             const linalg::Cholesky chol(spd);
             sink(chol.solve(b)[0]);
         }
-    }});
-
-    registry.push_back({"linalg.eig_sym", false, [](std::size_t iters) {
-        static const linalg::Matrix spd = spd_matrix(24, 5);
-        for (std::size_t i = 0; i < iters; ++i) sink(linalg::eigen_sym(spd).values[0]);
-    }});
-
-    registry.push_back({"linalg.qr", false, [](std::size_t iters) {
-        static const linalg::Matrix a = [] {
-            stats::Rng rng(6);
-            linalg::Matrix m(48, 16);
-            for (std::size_t r = 0; r < 48; ++r) {
-                for (std::size_t c = 0; c < 16; ++c) m(r, c) = rng.normal();
-            }
-            return m;
-        }();
-        for (std::size_t i = 0; i < iters; ++i) sink(linalg::QR(a).r()(0, 0));
     }});
 
     registry.push_back({"linalg.matmul", false, [](std::size_t iters) {
@@ -341,21 +320,6 @@ std::vector<BenchSpec> build_registry() {
         static const models::ErmObjective objective(d, *loss, 0.01);
         for (std::size_t i = 0; i < iters; ++i) {
             sink(optim::minimize_lbfgs(objective, linalg::zeros(d.dim())).value);
-        }
-    }});
-
-    registry.push_back({"optim.sgd_epoch", false, [](std::size_t iters) {
-        static const models::Dataset d = bench_dataset(256, 8);
-        static const auto loss = models::make_logistic_loss();
-        static const models::StochasticErm stochastic(d, *loss, 0.01);
-        static const optim::SgdOptions options = [] {
-            optim::SgdOptions o;
-            o.epochs = 1;
-            return o;
-        }();
-        stats::Rng rng(16);
-        for (std::size_t i = 0; i < iters; ++i) {
-            sink(optim::minimize_sgd(stochastic, linalg::zeros(d.dim()), rng, options).value);
         }
     }});
 

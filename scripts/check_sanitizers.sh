@@ -39,6 +39,12 @@
 # probe, and the fused EM-surrogate kernel leases workspace buffers per
 # atom — buffer reuse and ownership hand-offs ASan exists to check.
 #
+# The phase profiler suite (test_profiler) and the trace test in test_obs
+# ride in both builds: with tracing on, every frame that closes on a pool
+# worker appends to the profiler's shared trace buffer, and the executor
+# hands each runner the submitting thread's phase path — cross-thread
+# writes and hand-offs both sanitizers must bless.
+#
 # Usage: scripts/check_sanitizers.sh [jobs]
 set -euo pipefail
 
@@ -55,7 +61,7 @@ for sanitizer in thread address; do
         --target test_util test_concurrency test_faults test_engine \
                  test_membership test_membership_stats \
                  test_linalg_property test_dro_invariants \
-                 test_simd_dispatch test_sampling_stats test_obs \
+                 test_simd_dispatch test_sampling_stats test_obs test_profiler \
                  test_streaming_posterior test_transfer_v2 \
                  test_optim test_dp test_golden_metrics > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
@@ -65,7 +71,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|MixturePrior|GoldenMetrics'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|MixturePrior|GoldenMetrics|ProfilerTest|Trace\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render the fleet-health block of a bench metrics sidecar.
 
-Reads a schema-v2 sidecar (obs::write_bench_sidecar, e.g. the one
+Reads a schema-v3 sidecar (obs::write_bench_sidecar, e.g. the one
 bench_fleet_scale or bench_health_smoke writes), and prints:
 
   * the per-round fleet series (headline columns; --all-columns for all),

@@ -85,7 +85,6 @@ FleetReport run_fleet_simulation(const SimulationConfig& config, stats::Rng& rng
     report.cloud_seconds = cloud_watch.elapsed_seconds();
     report.prior_components = prior.num_components();
     report.prior_bytes = encoded.size();
-    obs::Registry::global().timing("fleet.cloud_seconds").record_seconds(report.cloud_seconds);
     obs::Registry::global().gauge("fleet.prior_components").set(
         static_cast<double>(prior.num_components()));
     obs::Registry::global().gauge("fleet.prior_bytes").set(
@@ -157,8 +156,6 @@ FleetReport run_fleet_simulation(const SimulationConfig& config, stats::Rng& rng
             util::Stopwatch train_watch;
             const core::FitResult fit = device.train();
             outcome.train_seconds = train_watch.elapsed_seconds();
-            obs::Registry::global().timing("fleet.device_train_seconds")
-                .record_seconds(outcome.train_seconds);
             if (fit.degraded) {
                 // Non-finite solver state: keep the run alive, report the
                 // device on the ERM fallback.

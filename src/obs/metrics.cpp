@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -140,44 +139,6 @@ void Histogram::reset() noexcept {
     sum_.store(0, std::memory_order_relaxed);
 }
 
-// -------------------------------------------------------------------- timing
-
-void TimingStat::record_seconds(double seconds) noexcept {
-    if (!metrics_enabled()) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (state_.count == 0 || seconds < state_.min_seconds) state_.min_seconds = seconds;
-    if (state_.count == 0 || seconds > state_.max_seconds) state_.max_seconds = seconds;
-    state_.total_seconds += seconds;
-    ++state_.count;
-}
-
-TimingStat::Snapshot TimingStat::snapshot() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return state_;
-}
-
-void TimingStat::reset() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    state_ = Snapshot{};
-}
-
-namespace {
-
-std::uint64_t now_ns() noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-}  // namespace
-
-ScopedTimer::ScopedTimer(TimingStat& stat) noexcept : stat_(stat), start_ns_(now_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-    stat_.record_seconds(static_cast<double>(now_ns() - start_ns_) * 1e-9);
-}
-
 // ------------------------------------------------------------------ registry
 
 Registry& Registry::global() {
@@ -216,21 +177,11 @@ Histogram& Registry::histogram(std::string_view name, std::vector<std::uint64_t>
     return *it->second;
 }
 
-TimingStat& Registry::timing(std::string_view name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = timings_.find(name);
-    if (it == timings_.end()) {
-        it = timings_.emplace(std::string(name), std::make_unique<TimingStat>()).first;
-    }
-    return *it->second;
-}
-
 void Registry::reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [name, c] : counters_) c->reset();
     for (auto& [name, g] : gauges_) g->reset();
     for (auto& [name, h] : histograms_) h->reset();
-    for (auto& [name, t] : timings_) t->reset();
 }
 
 JsonValue Registry::deterministic_snapshot() const {
@@ -264,22 +215,6 @@ JsonValue Registry::deterministic_snapshot() const {
     return JsonValue(std::move(out));
 }
 
-JsonValue Registry::timing_snapshot() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    JsonValue::Object timings;
-    for (const auto& [name, t] : timings_) {
-        const TimingStat::Snapshot s = t->snapshot();
-        if (s.count == 0) continue;
-        JsonValue::Object entry;
-        entry.emplace("count", s.count);
-        entry.emplace("total_seconds", s.total_seconds);
-        entry.emplace("min_seconds", s.min_seconds);
-        entry.emplace("max_seconds", s.max_seconds);
-        timings.emplace(name, std::move(entry));
-    }
-    return JsonValue(std::move(timings));
-}
-
 std::string Registry::deterministic_json() const {
     JsonValue::Object doc;
     doc.emplace("schema_version", kMetricsSchemaVersion);
@@ -295,7 +230,6 @@ JsonValue bench_sidecar_json(std::string_view bench_name, const JsonValue* healt
     doc.emplace("schema_version", kBenchSidecarSchemaVersion);
     doc.emplace("bench", std::string(bench_name));
     doc.emplace("deterministic", registry.deterministic_snapshot());
-    doc.emplace("timing", registry.timing_snapshot());
     if (health != nullptr) doc.emplace("health", *health);
     return JsonValue(std::move(doc));
 }

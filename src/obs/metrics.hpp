@@ -10,9 +10,9 @@
 //    forking, indexed slots, fixed-order scans). Gauges carry doubles but
 //    must only be set from deterministic code points (e.g. the encoded
 //    prior size on the simulation driver thread).
-//  * Wall-clock is segregated. Timings go to TimingStat, which never
-//    appears in the deterministic snapshot — golden files and cross-thread
-//    diffs can therefore assert byte equality of the deterministic JSON.
+//  * Wall-clock stays out. The registry records no times (the phase
+//    profiler, obs/profiler.hpp, owns all timing), so golden files and
+//    cross-thread diffs can assert byte equality of the deterministic JSON.
 //  * Hot-path cost is a few nanoseconds. Counter::add is one relaxed
 //    fetch_add on a cache-line-padded per-thread shard (no contention, no
 //    locks); instrumentation sites cache the Counter& in a function-local
@@ -25,8 +25,8 @@
 //    run, not of process history — what the golden-file tests pin down.
 //
 // Registry::global() is the process-wide instance every instrumentation
-// site uses. Handles returned by counter()/gauge()/histogram()/timing()
-// are stable for the life of the process; reset() zeroes values without
+// site uses. Handles returned by counter()/gauge()/histogram() are
+// stable for the life of the process; reset() zeroes values without
 // invalidating handles.
 #pragma once
 
@@ -48,10 +48,11 @@ namespace drel::obs {
 inline constexpr std::uint64_t kMetricsSchemaVersion = 1;
 
 /// Bench sidecar document version. v2 added the optional "health" block
-/// (fleet telemetry: RoundSeries, latency histograms, SLO report). Kept
-/// separate from kMetricsSchemaVersion so golden metric documents
-/// (tests/golden/*.json) did not need re-recording for the sidecar change.
-inline constexpr std::uint64_t kBenchSidecarSchemaVersion = 2;
+/// (fleet telemetry: RoundSeries, latency histograms, SLO report); v3
+/// dropped the wall-clock "timing" block. Kept separate from
+/// kMetricsSchemaVersion so golden metric documents (tests/golden/*.json)
+/// did not need re-recording for sidecar changes.
+inline constexpr std::uint64_t kBenchSidecarSchemaVersion = 3;
 
 /// False iff the environment sets DREL_METRICS=0 (checked once, cached),
 /// unless a ScopedMetricsEnabledForTesting override is active.
@@ -190,40 +191,6 @@ class Histogram {
     std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Wall-clock accumulator: count / total / min / max seconds. Lives in the
-/// nondeterministic section of every export; never golden-diffed.
-class TimingStat {
- public:
-    void record_seconds(double seconds) noexcept;
-
-    struct Snapshot {
-        std::uint64_t count = 0;
-        double total_seconds = 0.0;
-        double min_seconds = 0.0;
-        double max_seconds = 0.0;
-    };
-    Snapshot snapshot() const;
-
-    void reset();
-
- private:
-    mutable std::mutex mutex_;
-    Snapshot state_;
-};
-
-/// RAII wall-clock scope feeding a TimingStat.
-class ScopedTimer {
- public:
-    explicit ScopedTimer(TimingStat& stat) noexcept;
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-    ~ScopedTimer();
-
- private:
-    TimingStat& stat_;
-    std::uint64_t start_ns_;
-};
-
 class Registry {
  public:
     /// The process-wide registry all instrumentation sites use.
@@ -239,7 +206,6 @@ class Registry {
     Counter& counter(std::string_view name);
     Gauge& gauge(std::string_view name);
     Histogram& histogram(std::string_view name, std::vector<std::uint64_t> bounds);
-    TimingStat& timing(std::string_view name);
 
     /// Zeroes every metric (handles stay valid). Used by tests to scope a
     /// snapshot to exactly one scenario.
@@ -251,9 +217,6 @@ class Registry {
     /// workloads.
     JsonValue deterministic_snapshot() const;
 
-    /// Nondeterministic wall-clock section, same touched-only filtering.
-    JsonValue timing_snapshot() const;
-
     /// Golden-file document: {"schema_version": N, "metrics": <deterministic>}.
     std::string deterministic_json() const;
 
@@ -262,13 +225,11 @@ class Registry {
     std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-    std::map<std::string, std::unique_ptr<TimingStat>, std::less<>> timings_;
 };
 
-/// Bench sidecar document (schema v2, validated by tests/test_bench_schema):
+/// Bench sidecar document (schema v3, validated by tests/test_bench_schema):
 ///   {"schema_version": kBenchSidecarSchemaVersion, "bench": name,
 ///    "deterministic": {counters, gauges, histograms},
-///    "timing": {name: {count, total_seconds, min_seconds, max_seconds}},
 ///    "health": <fleet telemetry, only when provided>}
 /// The optional `health` pointer attaches a pre-built fleet-telemetry block
 /// (see health::FleetTelemetry::to_json); nullptr omits the key.

@@ -14,6 +14,7 @@
 #include <ctime>
 #endif
 
+#include "obs/metrics.hpp"
 #include "util/executor.hpp"
 #include "util/logging.hpp"
 
@@ -51,6 +52,8 @@ struct ProfileThreadState {
     mutable std::mutex mutex;
     ProfileNode root{"", nullptr};
     ProfileNode* current = &root;
+    /// The owning thread's dense id: the trace events' "tid".
+    const std::size_t slot = thread_slot();
 };
 
 namespace {
@@ -67,6 +70,41 @@ struct StateRegistry {
         return *registry;
     }
 };
+
+/// Trace events of completed frames, appended from any thread while
+/// tracing is on. Times are microseconds since the buffer's creation, which
+/// the startup wiring below forces at static initialization.
+struct TraceBuffer {
+    struct Event {
+        const char* name;
+        std::uint64_t ts_us;
+        std::uint64_t dur_us;
+        std::size_t tid;
+    };
+
+    const std::uint64_t epoch_ns = profile_wall_ns();
+    mutable std::mutex mutex;
+    std::string path;
+    std::vector<Event> events;
+
+    static TraceBuffer& instance() {
+        static TraceBuffer* buffer = new TraceBuffer();  // leaked: outlives all frames
+        return *buffer;
+    }
+};
+
+std::atomic<bool> g_trace_enabled{false};
+
+/// Both ends are truncated to microseconds before subtracting, so an event
+/// nested in another never ends after it in the document.
+void trace_append(const char* name, std::size_t tid, std::uint64_t start_ns,
+                  std::uint64_t end_ns) noexcept {
+    TraceBuffer& buffer = TraceBuffer::instance();
+    const std::uint64_t ts_us = (start_ns - buffer.epoch_ns) / 1000;
+    const std::uint64_t end_us = (end_ns - buffer.epoch_ns) / 1000;
+    const std::lock_guard<std::mutex> lock(buffer.mutex);
+    buffer.events.push_back(TraceBuffer::Event{name, ts_us, end_us - ts_us, tid});
+}
 
 bool env_profile_enabled(const char* env) noexcept {
     return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
@@ -176,8 +214,6 @@ void profile_report_at_exit() {
     std::fputs(text.c_str(), stderr);
 }
 
-void profile_write_json_at_exit();
-
 /// Output path for DREL_PROFILE=<path> (empty = stderr report).
 std::string& profile_output_path() {
     static std::string* path = new std::string();  // leaked
@@ -195,9 +231,11 @@ void profile_write_json_at_exit() {
     if (out) DREL_LOG_INFO("obs") << "profile written to " << path;
 }
 
+void trace_flush_at_exit() { (void)Profiler::global().flush_trace(); }
+
 /// Startup wiring, run once during static initialization of the obs
 /// library: install the executor hooks unconditionally (no-ops while
-/// disabled) and honor DREL_PROFILE.
+/// disabled), pin the trace epoch, and honor DREL_TRACE and DREL_PROFILE.
 const bool g_profiler_init = [] {
     util::ParallelContextHooks hooks;
     hooks.capture = &hook_capture;
@@ -206,6 +244,13 @@ const bool g_profiler_init = [] {
     hooks.drop = &hook_drop;
     util::install_parallel_context_hooks(hooks);
 
+    TraceBuffer& trace = TraceBuffer::instance();
+    if (const char* env = std::getenv("DREL_TRACE"); env != nullptr && env[0] != '\0') {
+        trace.path = env;
+        g_trace_enabled.store(true, std::memory_order_relaxed);
+        g_profile_enabled.store(true, std::memory_order_relaxed);
+        std::atexit(&trace_flush_at_exit);
+    }
     if (const char* env = std::getenv("DREL_PROFILE"); env_profile_enabled(env)) {
         g_profile_enabled.store(true, std::memory_order_relaxed);
         if (std::strcmp(env, "1") == 0 || std::strcmp(env, "stderr") == 0) {
@@ -231,9 +276,12 @@ void ProfileFrame::enter(const char* name) noexcept {
 }
 
 void ProfileFrame::leave() noexcept {
-    const std::uint64_t wall = detail::profile_wall_ns() - wall_start_;
+    const std::uint64_t wall_end = detail::profile_wall_ns();
     const std::uint64_t cpu = detail::profile_cpu_ns() - cpu_start_;
-    detail::profile_pop(*state_, node_, wall, cpu);
+    detail::profile_pop(*state_, node_, wall_end - wall_start_, cpu);
+    if (detail::g_trace_enabled.load(std::memory_order_relaxed)) {
+        detail::trace_append(node_->name, state_->slot, wall_start_, wall_end);
+    }
 }
 
 // ---------------------------------------------------------------- Profiler
@@ -249,6 +297,75 @@ void Profiler::enable() noexcept {
 
 void Profiler::disable() noexcept {
     detail::g_profile_enabled.store(false, std::memory_order_relaxed);
+}
+
+void Profiler::enable_trace(std::string path) {
+    detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
+    {
+        const std::lock_guard<std::mutex> lock(buffer.mutex);
+        buffer.path = std::move(path);
+    }
+    detail::g_trace_enabled.store(true, std::memory_order_relaxed);
+    enable();
+}
+
+void Profiler::disable_trace() noexcept {
+    detail::g_trace_enabled.store(false, std::memory_order_relaxed);
+}
+
+std::size_t Profiler::trace_event_count() const {
+    const detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
+    const std::lock_guard<std::mutex> lock(buffer.mutex);
+    return buffer.events.size();
+}
+
+void Profiler::clear_trace() {
+    detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
+    const std::lock_guard<std::mutex> lock(buffer.mutex);
+    buffer.events.clear();
+}
+
+std::string Profiler::trace_json() const {
+    const detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
+    const std::lock_guard<std::mutex> lock(buffer.mutex);
+    JsonValue::Array trace_events;
+    trace_events.reserve(buffer.events.size());
+    for (const detail::TraceBuffer::Event& e : buffer.events) {
+        JsonValue::Object event;
+        event.emplace("name", e.name);
+        event.emplace("cat", "drel");
+        event.emplace("ph", "X");
+        event.emplace("pid", std::uint64_t{1});
+        event.emplace("tid", static_cast<std::uint64_t>(e.tid));
+        event.emplace("ts", e.ts_us);
+        event.emplace("dur", e.dur_us);
+        trace_events.push_back(std::move(event));
+    }
+    JsonValue::Object doc;
+    doc.emplace("traceEvents", std::move(trace_events));
+    doc.emplace("displayTimeUnit", "ms");
+    return JsonValue(std::move(doc)).dump(0);
+}
+
+bool Profiler::flush_trace() {
+    detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
+    std::string path;
+    {
+        const std::lock_guard<std::mutex> lock(buffer.mutex);
+        path = buffer.path;
+    }
+    if (path.empty()) return false;
+    const std::string document = trace_json();
+    std::ofstream out(path);
+    if (!out) {
+        DREL_LOG_WARN("obs") << "cannot write trace file " << path;
+        return false;
+    }
+    out << document << "\n";
+    if (!out) return false;
+    clear_trace();
+    DREL_LOG_INFO("obs") << "trace written to " << path;
+    return true;
 }
 
 namespace {

@@ -1,11 +1,10 @@
 // Hierarchical phase profiler: where does the time go?
 //
 // Every DREL_PROFILE_SCOPE("name") opens one *phase frame* on the calling
-// thread's frame stack (and one trace span — see trace.hpp; the two share
-// call sites so a timeline and a profile always agree on phase boundaries).
-// Frames nest: a frame opened while another is active becomes its child, so
-// each thread accumulates a tree of phases keyed by name. Snapshots merge
-// the per-thread trees by '/'-joined phase *path* into one document.
+// thread's frame stack. Frames nest: a frame opened while another is
+// active becomes its child, so each thread accumulates a tree of phases
+// keyed by name. Snapshots merge the per-thread trees by '/'-joined phase
+// *path* into one document. The profiler is the process's only timer.
 //
 // Determinism contract (mirrors metrics.hpp):
 //
@@ -32,20 +31,30 @@
 // thread's own tree; only the first visit of a (parent, name) edge takes
 // the thread-state mutex to insert a node.
 //
+// Trace timeline: while a trace path is set, every frame that completes
+// also appends one chrome://tracing complete event {name, start, duration,
+// thread slot} to a buffer the profiler owns, from the same two wall-clock
+// reads the frame takes anyway — so a timeline and a profile always agree
+// on phase boundaries, one event per frame. Appends take a short mutex, so
+// frames sit at solve/device granularity, not inside per-example loops.
+// Trace times are wall clock and never feed the metrics registry.
+//
 // Environment: DREL_PROFILE=1 (or "stderr") enables profiling at startup
 // and prints the merged report to stderr at process exit; DREL_PROFILE set
 // to anything else enables profiling and writes the full JSON document
 // (counts + timing) to that path at exit. Unset or "0" leaves profiling
-// off.
+// off. DREL_TRACE=<path> enables profiling with tracing on and writes the
+// trace document to that path at exit; load it in chrome://tracing or
+// Perfetto.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace drel::obs {
 
@@ -132,14 +141,35 @@ class Profiler {
     /// ms, cpu ms), sorted by path.
     std::string report() const;
 
+    /// Sets the trace output path, turns tracing on and enables the
+    /// profiler. Replaces any earlier path; buffered events are kept.
+    void enable_trace(std::string path);
+    /// Stops appending trace events (the profiler stays as it is); buffered
+    /// events and the path survive, so flush_trace() still writes them.
+    void disable_trace() noexcept;
+
+    std::size_t trace_event_count() const;
+    void clear_trace();
+
+    /// The chrome://tracing document for every buffered event:
+    /// {"traceEvents": [{name, cat:"drel", ph:"X", pid:1, tid, ts, dur}],
+    /// "displayTimeUnit": "ms"}, times in microseconds since startup.
+    std::string trace_json() const;
+
+    /// Writes trace_json() to the trace path and clears the buffer. Returns
+    /// false (logging a warning on IO error) when no path is set or the
+    /// write fails.
+    bool flush_trace();
+
  private:
     Profiler() = default;
 };
 
 /// RAII phase frame. Near-free when profiling is disabled at entry; a
-/// frame that began while enabled always completes (pops and records) even
-/// if the profiler is disabled mid-scope, so the stack never corrupts.
-/// Unwinding through an exception pops normally (destructor).
+/// frame that began while enabled always completes (pops and records, plus
+/// a trace event while tracing) even if the profiler is disabled
+/// mid-scope, so the stack never corrupts. Unwinding through an exception
+/// pops normally (destructor).
 class ProfileFrame {
  public:
     explicit ProfileFrame(const char* name) noexcept {
@@ -164,9 +194,9 @@ class ProfileFrame {
 
 }  // namespace drel::obs
 
-/// One scoped phase: a profiler frame AND a trace span from the same
-/// braces, so chrome://tracing timelines and profile snapshots agree on
-/// phase boundaries. `name` must be a string literal.
-#define DREL_PROFILE_SCOPE(name)                                                      \
-    DREL_TRACE_SPAN(name);                                                            \
+#define DREL_OBS_CONCAT_IMPL(a, b) a##b
+#define DREL_OBS_CONCAT(a, b) DREL_OBS_CONCAT_IMPL(a, b)
+/// One scoped phase frame (and, while tracing, one trace event). `name`
+/// must be a string literal.
+#define DREL_PROFILE_SCOPE(name) \
     ::drel::obs::ProfileFrame DREL_OBS_CONCAT(drel_obs_frame_, __LINE__) { name }

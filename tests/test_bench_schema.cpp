@@ -1,5 +1,6 @@
 // Schema validation for the bench metrics sidecar (obs::bench_sidecar_json,
-// schema v2: v1 plus an optional "health" fleet-telemetry block). The bench
+// schema v3: counts plus an optional "health" fleet-telemetry block, no
+// wall-clock section). The bench
 // binaries themselves take minutes, so this test runs a small representative
 // workload through the same library code and validates the exact document
 // the benches write — for the sidecar names the experiment flow consumes
@@ -22,8 +23,8 @@
 namespace drel {
 namespace {
 
-/// Asserts the schema-v2 sidecar contract: required keys, value kinds, and
-/// internal consistency (bucket array length, min <= max).
+/// Asserts the schema-v3 sidecar contract: required keys, value kinds, and
+/// internal consistency (bucket array length); no wall-clock section.
 void validate_sidecar(const obs::JsonValue& doc, const std::string& bench_name) {
     ASSERT_TRUE(doc.is_object());
     EXPECT_EQ(doc.at("schema_version").as_uint(), obs::kBenchSidecarSchemaVersion);
@@ -49,16 +50,7 @@ void validate_sidecar(const obs::JsonValue& doc, const std::string& bench_name) 
         EXPECT_TRUE(histogram.at("count").is_uint()) << "histogram " << name;
         EXPECT_TRUE(histogram.at("sum").is_uint()) << "histogram " << name;
     }
-
-    ASSERT_TRUE(doc.at("timing").is_object());
-    for (const auto& [name, timing] : doc.at("timing").as_object()) {
-        EXPECT_TRUE(timing.at("count").is_uint()) << "timing " << name;
-        for (const char* key : {"total_seconds", "min_seconds", "max_seconds"}) {
-            EXPECT_TRUE(timing.at(key).is_number()) << "timing " << name << "." << key;
-        }
-        EXPECT_LE(timing.at("min_seconds").as_number(), timing.at("max_seconds").as_number())
-            << "timing " << name;
-    }
+    EXPECT_FALSE(doc.contains("timing"));
 }
 
 void validate_histogram_snapshot(const obs::JsonValue& histogram, const char* what) {
@@ -113,7 +105,7 @@ class BenchSchema : public ::testing::Test {
  protected:
     static void SetUpTestSuite() {
         // One small end-to-end fleet run populates every metric family the
-        // real benches touch (counters, gauges, histograms, timings).
+        // real benches touch (counters, gauges, histograms).
         obs::Registry::global().reset();
         edgesim::SimulationConfig config = test_support::small_fleet_config();
         config.num_threads = 2;

@@ -10,7 +10,6 @@
 #include "dp/dpmm_gibbs.hpp"
 #include "dp/dpmm_variational.hpp"
 #include "dp/mixture_prior.hpp"
-#include "dp/stick_breaking.hpp"
 #include "stats/descriptive.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
@@ -23,63 +22,6 @@ namespace {
 using test_support::bits_equal;
 using test_support::hex_bits;
 using test_support::vectors_bits_equal;
-
-// ---------------------------------------------------------- stick breaking
-
-TEST(StickBreaking, WeightsSumToOne) {
-    stats::Rng rng(1);
-    for (int i = 0; i < 50; ++i) {
-        const linalg::Vector w = sample_stick_breaking_weights(1.5, 10, rng);
-        EXPECT_EQ(w.size(), 10u);
-        EXPECT_NEAR(linalg::sum(w), 1.0, 1e-12);
-        for (const double v : w) EXPECT_GE(v, 0.0);
-    }
-}
-
-TEST(StickBreaking, ExpectedWeightsGeometricDecay) {
-    const double alpha = 2.0;
-    const linalg::Vector w = expected_stick_weights(alpha, 8);
-    EXPECT_NEAR(linalg::sum(w), 1.0, 1e-12);
-    // E[pi_1] = 1/(1+alpha); ratio of consecutive weights = alpha/(1+alpha).
-    EXPECT_NEAR(w[0], 1.0 / 3.0, 1e-12);
-    for (std::size_t k = 1; k + 1 < 8; ++k) {
-        EXPECT_NEAR(w[k] / w[k - 1], 2.0 / 3.0, 1e-12);
-    }
-}
-
-TEST(StickBreaking, MonteCarloMatchesExpectedWeights) {
-    stats::Rng rng(2);
-    const double alpha = 1.0;
-    linalg::Vector acc(6, 0.0);
-    const int trials = 20000;
-    for (int t = 0; t < trials; ++t) {
-        linalg::axpy(1.0, sample_stick_breaking_weights(alpha, 6, rng), acc);
-    }
-    linalg::scale(acc, 1.0 / trials);
-    const linalg::Vector expected = expected_stick_weights(alpha, 6);
-    for (std::size_t k = 0; k < 6; ++k) EXPECT_NEAR(acc[k], expected[k], 0.01);
-}
-
-TEST(StickBreaking, SmallAlphaConcentratesOnFirstStick) {
-    stats::Rng rng(3);
-    const linalg::Vector w = expected_stick_weights(0.05, 5);
-    EXPECT_GT(w[0], 0.9);
-}
-
-TEST(StickBreaking, TruncationForMassShrinksLeftover) {
-    const double alpha = 3.0;
-    const std::size_t k = truncation_for_mass(alpha, 1e-3);
-    const linalg::Vector w = expected_stick_weights(alpha, k);
-    EXPECT_LT(w.back(), 1e-3 + 1e-12);
-    EXPECT_THROW(truncation_for_mass(alpha, 2.0), std::invalid_argument);
-}
-
-TEST(StickBreaking, FractionValidation) {
-    EXPECT_THROW(stick_fractions_to_weights({0.5, 1.5}), std::invalid_argument);
-    stats::Rng rng(0);
-    EXPECT_THROW(sample_stick_breaking_weights(-1.0, 5, rng), std::invalid_argument);
-    EXPECT_THROW(sample_stick_breaking_weights(1.0, 0, rng), std::invalid_argument);
-}
 
 // --------------------------------------------------------------------- CRP
 

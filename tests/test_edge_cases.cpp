@@ -12,7 +12,6 @@
 #include "dro/robust_objective.hpp"
 #include "dro/wasserstein.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/eigen_sym.hpp"
 #include "models/erm_objective.hpp"
 #include "models/metrics.hpp"
 #include "optim/lbfgs.hpp"
@@ -30,8 +29,6 @@ TEST(EdgeCases, OneByOneLinearAlgebra) {
     EXPECT_DOUBLE_EQ(chol.lower()(0, 0), 2.0);
     EXPECT_DOUBLE_EQ(chol.solve({8.0})[0], 2.0);
     EXPECT_NEAR(chol.log_det(), std::log(4.0), 1e-12);
-    const linalg::EigenSym es = linalg::eigen_sym(a);
-    EXPECT_DOUBLE_EQ(es.values[0], 4.0);
 }
 
 TEST(EdgeCases, SingleExampleDataset) {

@@ -3,9 +3,7 @@
 #include <cmath>
 
 #include "linalg/cholesky.hpp"
-#include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
 
@@ -217,88 +215,6 @@ TEST(Cholesky, InverseTimesOriginalIsIdentity) {
     const Matrix a = random_spd(5, rng);
     const Matrix inv = Cholesky(a).inverse();
     EXPECT_LT(Matrix::max_abs_diff(a.matmul(inv), Matrix::identity(5)), 1e-8);
-}
-
-// ---------------------------------------------------------------------- QR
-
-TEST(QR, OrthonormalColumnsAndReconstruction) {
-    stats::Rng rng(5);
-    Matrix a(8, 4);
-    for (std::size_t r = 0; r < 8; ++r) {
-        for (std::size_t c = 0; c < 4; ++c) a(r, c) = rng.normal();
-    }
-    const QR qr(a);
-    const Matrix qtq = qr.q().transposed().matmul(qr.q());
-    EXPECT_LT(Matrix::max_abs_diff(qtq, Matrix::identity(4)), 1e-10);
-    EXPECT_LT(Matrix::max_abs_diff(qr.q().matmul(qr.r()), a), 1e-10);
-}
-
-TEST(QR, LeastSquaresRecoversPlantedSolution) {
-    stats::Rng rng(6);
-    Matrix a(20, 3);
-    for (std::size_t r = 0; r < 20; ++r) {
-        for (std::size_t c = 0; c < 3; ++c) a(r, c) = rng.normal();
-    }
-    const Vector truth{1.0, -2.0, 0.5};
-    const Vector b = a.matvec(truth);
-    const Vector x = QR(a).solve_least_squares(b);
-    EXPECT_LT(distance2(x, truth), 1e-9);
-}
-
-TEST(QR, RejectsRankDeficient) {
-    Matrix a(3, 2);
-    a(0, 0) = 1.0;
-    a(1, 0) = 2.0;
-    a(2, 0) = 3.0;
-    // Second column identical to first.
-    a(0, 1) = 1.0;
-    a(1, 1) = 2.0;
-    a(2, 1) = 3.0;
-    EXPECT_THROW(QR{a}, std::invalid_argument);
-}
-
-TEST(QR, RejectsWideMatrix) {
-    EXPECT_THROW(QR{Matrix(2, 3, 1.0)}, std::invalid_argument);
-}
-
-// ------------------------------------------------------------ eigen (sym)
-
-TEST(EigenSym, DiagonalMatrixEigenvaluesSorted) {
-    const EigenSym es = eigen_sym(Matrix::diagonal({3.0, 1.0, 2.0}));
-    EXPECT_NEAR(es.values[0], 1.0, 1e-10);
-    EXPECT_NEAR(es.values[1], 2.0, 1e-10);
-    EXPECT_NEAR(es.values[2], 3.0, 1e-10);
-}
-
-TEST(EigenSym, ReconstructsMatrix) {
-    stats::Rng rng(7);
-    const Matrix a = random_spd(5, rng);
-    const EigenSym es = eigen_sym(a);
-    // A = V diag(lambda) V^T
-    Matrix scaled = es.vectors;
-    for (std::size_t c = 0; c < 5; ++c) {
-        for (std::size_t r = 0; r < 5; ++r) scaled(r, c) *= es.values[c];
-    }
-    const Matrix rebuilt = scaled.matmul(es.vectors.transposed());
-    EXPECT_LT(Matrix::max_abs_diff(a, rebuilt), 1e-8);
-}
-
-TEST(EigenSym, SqrtPsdSquaresBack) {
-    stats::Rng rng(8);
-    const Matrix a = random_spd(4, rng);
-    const Matrix root = sqrt_psd(a);
-    EXPECT_LT(Matrix::max_abs_diff(root.matmul(root), a), 1e-8);
-}
-
-TEST(EigenSym, SqrtPsdRejectsIndefinite) {
-    Matrix bad = Matrix::identity(2);
-    bad(1, 1) = -2.0;
-    EXPECT_THROW(sqrt_psd(bad), std::invalid_argument);
-}
-
-TEST(EigenSym, MinEigenvalueOfSpdIsPositive) {
-    stats::Rng rng(9);
-    EXPECT_GT(min_eigenvalue(random_spd(6, rng)), 0.0);
 }
 
 }  // namespace

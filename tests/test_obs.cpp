@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: the JSON module, the sharded
-// metrics registry (determinism contract included), and the trace
-// collector. The end-to-end golden/diff coverage lives in
+// metrics registry (determinism contract included), and the profiler's
+// trace export. The end-to-end golden/diff coverage lives in
 // test_golden_metrics.cpp; cross-thread-count equality of real workloads in
 // test_concurrency.cpp.
 #include <gtest/gtest.h>
@@ -16,8 +16,8 @@
 #include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 
 namespace drel::obs {
 namespace {
@@ -143,7 +143,6 @@ TEST(Metrics, SnapshotIncludesOnlyTouchedMetrics) {
     registry.gauge("gauge.touched").set(1.5);
     registry.histogram("hist.touched", {10}).observe(4);
     registry.histogram("hist.untouched", {10});
-    registry.timing("walltime").record_seconds(0.5);
 
     const JsonValue snapshot = registry.deterministic_snapshot();
     const auto& counters = snapshot.at("counters").as_object();
@@ -153,10 +152,7 @@ TEST(Metrics, SnapshotIncludesOnlyTouchedMetrics) {
     const auto& histograms = snapshot.at("histograms").as_object();
     ASSERT_EQ(histograms.size(), 1u);
     EXPECT_EQ(histograms.at("hist.touched").at("count").as_uint(), 1u);
-    // Wall clock never leaks into the deterministic section.
-    EXPECT_FALSE(snapshot.contains("timings"));
     const std::string text = registry.deterministic_json();
-    EXPECT_EQ(text.find("walltime"), std::string::npos);
     EXPECT_EQ(JsonValue::parse(text).at("schema_version").as_uint(), kMetricsSchemaVersion);
 
     // After reset the snapshot is empty again: pure function of the run.
@@ -165,20 +161,6 @@ TEST(Metrics, SnapshotIncludesOnlyTouchedMetrics) {
     EXPECT_TRUE(cleared.at("counters").as_object().empty());
     EXPECT_TRUE(cleared.at("gauges").as_object().empty());
     EXPECT_TRUE(cleared.at("histograms").as_object().empty());
-}
-
-TEST(Metrics, TimingSnapshotTracksCountTotalMinMax) {
-    Registry registry;
-    TimingStat& stat = registry.timing("phase");
-    stat.record_seconds(0.25);
-    stat.record_seconds(0.75);
-    const TimingStat::Snapshot s = stat.snapshot();
-    EXPECT_EQ(s.count, 2u);
-    EXPECT_DOUBLE_EQ(s.total_seconds, 1.0);
-    EXPECT_DOUBLE_EQ(s.min_seconds, 0.25);
-    EXPECT_DOUBLE_EQ(s.max_seconds, 0.75);
-    const JsonValue timings = registry.timing_snapshot();
-    EXPECT_DOUBLE_EQ(timings.at("phase").at("total_seconds").as_number(), 1.0);
 }
 
 TEST(Metrics, HistogramQuantileBoundIsNearestRankBucketUpperBound) {
@@ -455,22 +437,24 @@ TEST(Health, TelemetryJsonSeparatesPartitionScopedData) {
 // ------------------------------------------------------------------- trace
 
 TEST(Trace, SpansRecordOnlyWhenEnabled) {
-    TraceCollector& collector = TraceCollector::global();
-    collector.disable();
-    collector.clear();
-    { DREL_TRACE_SPAN("disabled.span"); }
-    EXPECT_EQ(collector.event_count(), 0u);
+    Profiler& profiler = Profiler::global();
+    profiler.disable();
+    profiler.disable_trace();
+    profiler.clear_trace();
+    { DREL_PROFILE_SCOPE("disabled.span"); }
+    EXPECT_EQ(profiler.trace_event_count(), 0u);
 
     const std::string path = ::testing::TempDir() + "drel_trace_test.json";
-    collector.enable(path);
+    profiler.enable_trace(path);
     {
-        DREL_TRACE_SPAN("outer");
-        DREL_TRACE_SPAN("inner");
+        DREL_PROFILE_SCOPE("outer");
+        DREL_PROFILE_SCOPE("inner");
     }
-    collector.disable();
-    EXPECT_EQ(collector.event_count(), 2u);
+    profiler.disable_trace();
+    profiler.disable();
+    EXPECT_EQ(profiler.trace_event_count(), 2u);
 
-    const JsonValue doc = JsonValue::parse(collector.json());
+    const JsonValue doc = JsonValue::parse(profiler.trace_json());
     const auto& events = doc.at("traceEvents").as_array();
     ASSERT_EQ(events.size(), 2u);
     for (const JsonValue& event : events) {
@@ -480,8 +464,8 @@ TEST(Trace, SpansRecordOnlyWhenEnabled) {
         EXPECT_TRUE(event.at("dur").is_number());
     }
 
-    ASSERT_TRUE(collector.flush());
-    EXPECT_EQ(collector.event_count(), 0u);  // flush clears the buffer
+    ASSERT_TRUE(profiler.flush_trace());
+    EXPECT_EQ(profiler.trace_event_count(), 0u);  // flush clears the buffer
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::stringstream buffer;

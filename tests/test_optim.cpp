@@ -5,7 +5,6 @@
 
 #include "linalg/matrix.hpp"
 #include "optim/admm.hpp"
-#include "optim/fista.hpp"
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgs.hpp"
 #include "optim/line_search.hpp"
@@ -296,63 +295,6 @@ TEST(Lbfgs, RespectsHistoryValidation) {
     LbfgsOptions options;
     options.history = 0;
     EXPECT_THROW(minimize_lbfgs(q, linalg::zeros(3), options), std::invalid_argument);
-}
-
-// -------------------------------------------------------------------- FISTA
-
-TEST(Fista, LassoShrinksExactlyLikeSoftThreshold) {
-    // min 0.5 ||x - v||^2 + lambda ||x||_1 has the closed-form solution
-    // soft_threshold(v, lambda).
-    const linalg::Vector v{3.0, -0.5, 0.1, -2.0};
-    const double lambda = 1.0;
-    const FunctionObjective smooth(4, [&](const linalg::Vector& x, linalg::Vector* grad) {
-        const linalg::Vector d = linalg::sub(x, v);
-        if (grad) *grad = d;
-        return 0.5 * linalg::dot(d, d);
-    });
-    const ProxOperator prox = [&](const linalg::Vector& p, double t) {
-        return prox_l1(p, t, lambda);
-    };
-    const NonSmoothValue g = [&](const linalg::Vector& x) { return lambda * linalg::norm1(x); };
-    const OptimResult r = minimize_fista(smooth, prox, g, linalg::zeros(4));
-    const linalg::Vector expected = prox_l1(v, 1.0, lambda);
-    EXPECT_LT(linalg::distance2(r.x, expected), 1e-6);
-}
-
-TEST(Fista, ProxL1KnownValues) {
-    const linalg::Vector r = prox_l1({2.0, -0.3, 0.0}, 1.0, 0.5);
-    EXPECT_DOUBLE_EQ(r[0], 1.5);
-    EXPECT_DOUBLE_EQ(r[1], 0.0);
-    EXPECT_DOUBLE_EQ(r[2], 0.0);
-}
-
-TEST(Fista, ProxL2NormShrinksRadially) {
-    const linalg::Vector v{3.0, 4.0};  // norm 5
-    const linalg::Vector r = prox_l2_norm(v, 1.0, 2.0);
-    EXPECT_NEAR(linalg::norm2(r), 3.0, 1e-12);
-    // Direction preserved.
-    EXPECT_NEAR(r[0] / r[1], 3.0 / 4.0, 1e-12);
-    // Inside the threshold everything collapses to zero.
-    const linalg::Vector z = prox_l2_norm({0.1, 0.1}, 1.0, 2.0);
-    EXPECT_DOUBLE_EQ(linalg::norm2(z), 0.0);
-}
-
-TEST(Fista, AcceleratedNotWorseThanIsta) {
-    stats::Rng rng(30);
-    const QuadraticObjective q = random_quadratic(10, rng);
-    const ProxOperator prox = [](const linalg::Vector& p, double t) {
-        return prox_l1(p, t, 0.1);
-    };
-    const NonSmoothValue g = [](const linalg::Vector& x) { return 0.1 * linalg::norm1(x); };
-    FistaOptions fista_options;
-    fista_options.stopping.max_iterations = 60;
-    fista_options.stopping.grad_tolerance = 0.0;
-    fista_options.stopping.value_tolerance = 0.0;
-    FistaOptions ista_options = fista_options;
-    ista_options.accelerate = false;
-    const OptimResult fast = minimize_fista(q, prox, g, linalg::zeros(10), fista_options);
-    const OptimResult slow = minimize_fista(q, prox, g, linalg::zeros(10), ista_options);
-    EXPECT_LE(fast.value, slow.value + 1e-9);
 }
 
 // ------------------------------------------------------------------ scalar

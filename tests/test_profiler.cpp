@@ -1,17 +1,22 @@
 // Phase profiler suite: nesting, exception safety, the disabled-mode
-// contract, and the determinism contract — merged phase COUNTS must be
+// contract, the determinism contract — merged phase COUNTS must be
 // byte-identical at any thread count (timings are segregated and never
-// compared). Mirrors the metrics-registry determinism tests in test_obs.cpp.
+// compared) — and the trace export: one well-formed, properly nested event
+// per frame, from any thread. Mirrors the metrics-registry determinism
+// tests in test_obs.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "util/executor.hpp"
 
 namespace {
@@ -21,7 +26,8 @@ using obs::JsonValue;
 using obs::Profiler;
 
 /// Fresh, enabled profiler for one test body; restores disabled state on
-/// exit so suites sharing a process never observe each other's frames.
+/// exit so suites sharing a process never observe each other's frames or
+/// trace events.
 class ProfilerTest : public ::testing::Test {
  protected:
     void SetUp() override {
@@ -31,6 +37,8 @@ class ProfilerTest : public ::testing::Test {
     }
     void TearDown() override {
         Profiler::global().disable();
+        Profiler::global().disable_trace();
+        Profiler::global().clear_trace();
         Profiler::global().reset();
     }
 };
@@ -170,19 +178,18 @@ TEST_F(ProfilerTest, MergedCountsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ProfilerTest, ScopeEmitsValidTraceSpans) {
-    obs::TraceCollector& collector = obs::TraceCollector::global();
-    collector.disable();
-    collector.clear();
-    collector.enable(::testing::TempDir() + "drel_profiler_trace.json");
+    Profiler& profiler = Profiler::global();
+    profiler.clear_trace();
+    profiler.enable_trace(::testing::TempDir() + "drel_profiler_trace.json");
     {
         DREL_PROFILE_SCOPE("tv.outer");
         DREL_PROFILE_SCOPE("tv.inner");
     }
-    collector.disable();
+    profiler.disable_trace();
 
     // The trace document must be parseable by the strict obs::json parser
     // and contain exactly the spans the profiler counted.
-    const JsonValue doc = JsonValue::parse(collector.json());
+    const JsonValue doc = JsonValue::parse(profiler.trace_json());
     const auto& events = doc.at("traceEvents").as_array();
     ASSERT_EQ(events.size(), 2u);
     std::vector<std::string> names;
@@ -195,10 +202,56 @@ TEST_F(ProfilerTest, ScopeEmitsValidTraceSpans) {
     EXPECT_NE(std::find(names.begin(), names.end(), "tv.outer"), names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "tv.inner"), names.end());
 
+    // Nesting: the inner frame closes first, and its span lies inside the
+    // outer one's.
+    const JsonValue& inner = events[0];
+    const JsonValue& outer = events[1];
+    ASSERT_EQ(inner.at("name").as_string(), "tv.inner");
+    ASSERT_EQ(outer.at("name").as_string(), "tv.outer");
+    EXPECT_GE(inner.at("ts").as_uint(), outer.at("ts").as_uint());
+    EXPECT_LE(inner.at("ts").as_uint() + inner.at("dur").as_uint(),
+              outer.at("ts").as_uint() + outer.at("dur").as_uint());
+
     const auto phases = Profiler::global().merged_phases();
     EXPECT_EQ(phases.at("tv.outer").count, 1u);
     EXPECT_EQ(phases.at("tv.outer/tv.inner").count, 1u);
-    collector.clear();
+}
+
+TEST_F(ProfilerTest, ParallelScopesEmitOneTraceEventPerFrame) {
+    // Pool workers append to the shared trace buffer concurrently (the
+    // sanitizer builds run this): every frame must land exactly once,
+    // tagged with the slot of the thread that ran it.
+    constexpr std::size_t kItems = 64;
+    Profiler& profiler = Profiler::global();
+    profiler.clear_trace();
+    profiler.enable_trace(::testing::TempDir() + "drel_profiler_mt_trace.json");
+    std::vector<std::uint64_t> item_slots(kItems);
+    util::Executor executor(4);
+    {
+        DREL_PROFILE_SCOPE("mt.trace.outer");
+        executor.parallel_for(kItems, 4, [&item_slots](std::size_t i) {
+            DREL_PROFILE_SCOPE("mt.trace.item");
+            item_slots[i] = obs::detail::thread_slot();
+        });
+    }
+    profiler.disable_trace();
+
+    const JsonValue doc = JsonValue::parse(profiler.trace_json());
+    EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
+    const auto& events = doc.at("traceEvents").as_array();
+    ASSERT_EQ(events.size(), kItems + 1);
+    std::multiset<std::uint64_t> expected_slots(item_slots.begin(), item_slots.end());
+    expected_slots.insert(obs::detail::thread_slot());  // the outer frame's thread
+    std::multiset<std::uint64_t> slots;
+    std::size_t outer_events = 0;
+    for (const JsonValue& event : events) {
+        slots.insert(event.at("tid").as_uint());
+        if (event.at("name").as_string() == "mt.trace.outer") ++outer_events;
+    }
+    EXPECT_EQ(outer_events, 1u);
+    EXPECT_EQ(slots, expected_slots);
+    EXPECT_LE(std::set<std::uint64_t>(slots.begin(), slots.end()).size(), 4u);
+    EXPECT_EQ(profiler.merged_phases().at("mt.trace.outer/mt.trace.item").count, kItems);
 }
 
 }  // namespace

@@ -8,9 +8,7 @@
 #include "core/em_dro.hpp"
 #include "data/multiclass_generator.hpp"
 #include "data/task_generator.hpp"
-#include "dro/certificates.hpp"
 #include "dp/mixture_prior.hpp"
-#include "dp/stick_breaking.hpp"
 #include "dro/robust_objective.hpp"
 #include "dro/wasserstein.hpp"
 #include "edgesim/transfer.hpp"
@@ -221,31 +219,6 @@ TEST_P(JensenBound, SurrogatePlusEntropyLowerBoundsLogPdf) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JensenBound, ::testing::Values(31u, 32u, 33u, 34u));
 
 // ---------------------------------------------------------------------------
-// P7: stick-breaking truncations are exact distributions for every alpha.
-// ---------------------------------------------------------------------------
-
-class StickBreakingSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(StickBreakingSweep, WeightsFormDistribution) {
-    const double alpha = GetParam();
-    stats::Rng rng(55);
-    for (const std::size_t truncation : {2u, 5u, 20u}) {
-        const linalg::Vector sampled =
-            dp::sample_stick_breaking_weights(alpha, truncation, rng);
-        EXPECT_NEAR(linalg::sum(sampled), 1.0, 1e-12);
-        const linalg::Vector expected = dp::expected_stick_weights(alpha, truncation);
-        EXPECT_NEAR(linalg::sum(expected), 1.0, 1e-12);
-        // Expected weights are decreasing except possibly the remainder tail.
-        for (std::size_t k = 1; k + 1 < truncation; ++k) {
-            EXPECT_LE(expected[k], expected[k - 1] + 1e-12);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Alphas, StickBreakingSweep,
-                         ::testing::Values(0.1, 0.5, 1.0, 2.0, 10.0));
-
-// ---------------------------------------------------------------------------
 // P8: the transfer encoding round-trips random priors under every flag
 // combination with the appropriate fidelity.
 // ---------------------------------------------------------------------------
@@ -350,41 +323,6 @@ TEST_P(SoftmaxRobustness, GradientAndMonotonicity) {
 INSTANTIATE_TEST_SUITE_P(ClassesTimesSeeds, SoftmaxRobustness,
                          ::testing::Combine(::testing::Values(2u, 3u, 5u),
                                             ::testing::Values(81u, 82u)));
-
-// ---------------------------------------------------------------------------
-// P12: certified_radius inverts the certificate profile for every family
-// and random budgets (the certificate is exact, not conservative).
-// ---------------------------------------------------------------------------
-
-class CertificateInversion
-    : public ::testing::TestWithParam<std::tuple<dro::AmbiguityKind, std::uint64_t>> {};
-
-TEST_P(CertificateInversion, RadiusRoundTrip) {
-    const auto [kind, seed] = GetParam();
-    const models::Dataset d = random_dataset(seed, 30);
-    const auto loss = models::make_logistic_loss();
-    stats::Rng rng(seed + 6000);
-    const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    for (const double rho : {0.05, 0.3, 0.9}) {
-        const double budget = dro::robust_loss(theta, d, *loss, {kind, rho});
-        const double recovered =
-            dro::certified_radius(theta, d, *loss, kind, budget, 8.0, 1e-8);
-        // The robust value can plateau in rho (e.g. KL saturating at the max
-        // loss), in which case any radius on the plateau is a valid inverse:
-        // check by value, not by radius.
-        const double value_at_recovered =
-            dro::robust_loss(theta, d, *loss, {kind, recovered});
-        EXPECT_NEAR(value_at_recovered, budget, 1e-4)
-            << dro::ambiguity_name(kind) << " rho=" << rho;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KindsTimesSeeds, CertificateInversion,
-    ::testing::Combine(::testing::Values(dro::AmbiguityKind::kWasserstein,
-                                         dro::AmbiguityKind::kKl,
-                                         dro::AmbiguityKind::kChiSquare),
-                       ::testing::Values(91u, 92u)));
 
 }  // namespace
 }  // namespace drel

@@ -86,13 +86,11 @@ inline double chi_square_critical(std::size_t df) {
     return static_cast<double>(df) + 5.0 * std::sqrt(2.0 * static_cast<double>(df));
 }
 
-/// Small binary-task dataset from a 2-mode synthetic population
-/// (radius 2.0, within-mode var 0.05). The shape shared by the DRO,
-/// certificate, label-shift, and SGD tests.
-inline models::Dataset binary_task_dataset(stats::Rng& rng, std::size_t n,
-                                           std::size_t feature_dim = 4) {
-    const data::TaskPopulation pop =
-        data::TaskPopulation::make_synthetic(feature_dim, 2, 2.0, 0.05, rng);
+/// Small binary-task dataset from a 2-mode synthetic population (feature
+/// dim 4, radius 2.0, within-mode var 0.05). The shape shared by the DRO
+/// tests.
+inline models::Dataset binary_task_dataset(stats::Rng& rng, std::size_t n) {
+    const data::TaskPopulation pop = data::TaskPopulation::make_synthetic(4, 2, 2.0, 0.05, rng);
     const data::TaskSpec task = pop.sample_task(rng);
     return pop.generate(task, n, rng);
 }
