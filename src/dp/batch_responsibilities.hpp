@@ -6,21 +6,22 @@
 // dim-sized triangular solve — dozens of tiny dependent kernels whose
 // dispatch and loop overhead dominates at fleet scale. This type evaluates
 // the SAME mixture against a flat [count x dim] row-major block of thetas in
-// one call by restructuring the math around the BATCH axis:
+// one call by restructuring the math around the BATCH axis. The block is
+// walked in L1-sized tiles of kTileDevices devices; per tile:
 //
-//   1. transpose the block once to dim-major (coordinate r of every device
+//   1. transpose the tile to dim-major (coordinate r of every device
 //      contiguous),
-//   2. per atom, subtract the mean coordinate-wise (sub_const over count
-//      devices at a time) and run the forward substitution with the
+//   2. per atom, subtract the mean coordinate-wise (sub_const over the
+//      tile's devices at a time) and run the forward substitution with the
 //      division and the column updates vectorized across devices
-//      (div_const / axpy over count-length rows),
+//      (div_const / axpy over tile-length rows),
 //   3. accumulate the Mahalanobis quadratics with add_sq and finish each
 //      density from the atom's cached log-determinant.
 //
 // Every inner kernel comes from linalg::simd::active() and is elementwise,
 // so results are bit-identical across SIMD backends (scalar/AVX2/NEON) and
-// independent of how the fleet is sharded: each device's row depends only on
-// its own theta, never on batch composition. Against the per-device path the
+// independent of how the fleet is sharded or the batch is tiled: each
+// device's row depends only on its own theta, never on batch composition. Against the per-device path the
 // values differ by a few ULPs (the solve's reduction runs column-by-column
 // across the batch instead of through the 8-lane dot kernel); the naive
 // oracle is linalg::reference::batch_log_densities.
@@ -39,6 +40,12 @@ namespace drel::dp {
 
 class BatchResponsibilities {
  public:
+    /// Devices per scoring tile. At dim 8 a tile's transposed thetas and
+    /// solve rows take 2 x 16 KB and its quadratic row 2 KB, so the ~50
+    /// per-atom passes over them hit L1. The kernels are elementwise, so
+    /// the tile size never changes a device's bits.
+    static constexpr std::size_t kTileDevices = 256;
+
     /// Borrows `prior` (must outlive this object) and caches the per-atom
     /// constants (log weights, log determinants, factor pointers).
     explicit BatchResponsibilities(const MixturePrior& prior);

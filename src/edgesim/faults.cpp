@@ -172,55 +172,56 @@ void record_injected_faults(const DeviceFaultDecision& decision) {
     if (decision.link_outage) outage.add(1);
 }
 
-void record_degradation(DegradedReason reason) {
+void record_degradation(DegradedReason reason, std::uint64_t count) {
+    if (count == 0) return;
     switch (reason) {
         case DegradedReason::kNone:
             return;
         case DegradedReason::kCrashed: {
             static obs::Counter& c = obs::Registry::global().counter("fault.degraded.crashed");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kStraggler: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.straggler");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kFallbackLocalErm: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.fallback_local_erm");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kStalePrior: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.stale_prior");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kUploadDropped: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.upload_dropped");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kNonFinite: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.non_finite");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kBackpressure: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.backpressure");
-            c.add(1);
+            c.add(count);
             return;
         }
         case DegradedReason::kRejoinStalePrior: {
             static obs::Counter& c =
                 obs::Registry::global().counter("fault.degraded.rejoin_stale_prior");
-            c.add(1);
+            c.add(count);
             return;
         }
     }

@@ -151,7 +151,8 @@ class FaultPlan {
 /// so counts stay deterministic and schedule-independent.
 void record_injected_faults(const DeviceFaultDecision& decision);
 
-/// Bumps fault.degraded.<reason>. kNone is a no-op.
-void record_degradation(DegradedReason reason);
+/// Adds `count` to fault.degraded.<reason> in one Counter::add. kNone and
+/// count == 0 are no-ops.
+void record_degradation(DegradedReason reason, std::uint64_t count = 1);
 
 }  // namespace drel::edgesim

@@ -99,6 +99,11 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
     defer_tags_.clear();
     defer_thetas_.clear();
 
+    // device_stream(device_root, round, j, purpose), split at its links:
+    // the round link is forked once per shard-round and the device link
+    // once per device, and both purposes hang off that same device link.
+    const stats::Rng round_link = device_root.fork(round);
+
     for (std::size_t j = layout_.begin; j < layout_.end; ++j) {
         // Non-member slot (Unknown/Joining/Dead): skip without renumbering.
         // The SoA row keeps its freshly-reset defaults, and no stream is
@@ -108,7 +113,8 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
         const DeviceFaultDecision faults = plan.device_faults(round, j);
         if (plan.active()) record_injected_faults(faults);
 
-        stats::Rng work_rng = device_stream(device_root, round, j, DeviceStream::kWork);
+        const stats::Rng device_link = round_link.fork(j);
+        stats::Rng work_rng = device_link.fork(static_cast<std::uint64_t>(DeviceStream::kWork));
         DeviceResult result;
         if (faults.crash) {
             // Died mid-round: contributes nothing — no score, no upload.
@@ -121,7 +127,8 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
         // time the work itself accrued (upload backoff). Stragglers land
         // deterministically past the deadline; crashes never complete and
         // are pinned AT the deadline for the percentile arrays.
-        stats::Rng lat_rng = device_stream(device_root, round, j, DeviceStream::kLatency);
+        stats::Rng lat_rng =
+            device_link.fork(static_cast<std::uint64_t>(DeviceStream::kLatency));
         const double healthy =
             deadline_seconds * (0.05 + 0.20 * lat_rng.uniform()) + result.extra_seconds;
         double latency;

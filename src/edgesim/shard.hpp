@@ -102,8 +102,9 @@ struct UploadBatch {
 
 /// The round's global structure-of-arrays result store. The engine sizes
 /// the arrays to devices_per_round; each shard writes only its slice, so
-/// parallel shard execution needs no synchronisation. Reductions run over
-/// the global arrays in index order, making every reported aggregate
+/// parallel shard execution needs no synchronisation. The round close
+/// tallies integers per shard slice and merges them in shard order, and
+/// sums floats in one device-order pass, making every reported aggregate
 /// independent of both the shard partition and the thread schedule.
 struct RoundSoA {
     std::vector<double> accuracy;          ///< valid where scored != 0

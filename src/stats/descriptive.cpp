@@ -35,13 +35,16 @@ double quantile(linalg::Vector x, double q) {
 
 double nearest_rank(const std::vector<double>& sorted, double q) {
     if (sorted.empty()) return 0.0;
+    return sorted[nearest_rank_index(sorted.size(), q)];
+}
+
+std::size_t nearest_rank_index(std::size_t n, double q) {
     if (!(q >= 0.0) || !(q <= 1.0)) {
         throw std::invalid_argument("nearest_rank: q must be in [0,1]");
     }
-    const double n = static_cast<double>(sorted.size());
-    const auto rank = static_cast<std::size_t>(std::ceil(q * n));
+    const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
     const std::size_t index = rank == 0 ? 0 : rank - 1;
-    return sorted[std::min(index, sorted.size() - 1)];
+    return std::min(index, n == 0 ? 0 : n - 1);
 }
 
 double median(linalg::Vector x) { return quantile(std::move(x), 0.5); }

@@ -25,6 +25,12 @@ double quantile(linalg::Vector x, double q);
 /// engine's historical no-devices convention).
 double nearest_rank(const std::vector<double>& sorted, double q);
 
+/// The 0-based slot nearest_rank reads in a sorted sample of n > 0 values:
+/// ceil(q * n) - 1, clamped to [0, n - 1]. Selection (std::nth_element at
+/// this index) places the same value there without sorting. Throws
+/// std::invalid_argument unless 0 <= q <= 1.
+std::size_t nearest_rank_index(std::size_t n, double q);
+
 double median(linalg::Vector x);
 
 /// Column-wise mean of a set of row-vectors.

@@ -5,6 +5,7 @@
 // reports across thread counts AND shard counts, with or without faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -170,6 +171,49 @@ TEST(StreamScheme, NoDuplicateStreamsAtTwoThousandDevicesPerRound) {
         inserted += 2;
     }
     EXPECT_EQ(seen.size(), inserted);
+}
+
+TEST(StreamScheme, ShardStreamsMatchDeviceStreamBitForBit) {
+    // Shard::run_round forks the round link once per shard-round and the
+    // device link once per device, and hangs both purposes off that link;
+    // device_stream() stays the public definition (the perfbench replay
+    // derives its streams through it). Pin the two together on random
+    // (round, device, purpose) cells.
+    const stats::Rng device_root = stats::Rng(20261017).fork(4);
+    const FaultPlan plan(FaultConfig{}, stats::Rng(20261017));
+    constexpr std::size_t kSlots = 4096;
+    constexpr double kDeadline = 30.0;
+    RoundSoA soa;
+    soa.resize(kSlots);
+    stats::Rng pick(1017);
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::size_t round = pick.uniform_index(std::size_t{1} << 40);
+        const std::size_t device = pick.uniform_index(kSlots);
+        const DeviceStream purpose =
+            pick.uniform_index(2) == 0 ? DeviceStream::kWork : DeviceStream::kLatency;
+        std::pair<std::uint64_t, std::uint64_t> work_print{};
+        const DeviceWork work = [&](std::size_t, std::size_t, stats::Rng& work_rng,
+                                    util::Workspace&) {
+            work_print = stream_fingerprint(work_rng);
+            return DeviceResult{};
+        };
+        Shard shard(ShardLayout{0, device, device + 1}, 1);
+        (void)shard.run_round(round, device_root, plan, work, soa, kDeadline,
+                              /*keep_thetas=*/false);
+
+        stats::Rng expected = device_stream(device_root, round, device, purpose);
+        if (purpose == DeviceStream::kWork) {
+            EXPECT_EQ(work_print, stream_fingerprint(expected))
+                << "round=" << round << " device=" << device;
+        } else {
+            // A healthy device with no extra seconds: the shard's latency is
+            // its kLatency stream's first draw, scaled into the deadline.
+            const double want =
+                std::min(kDeadline * (0.05 + 0.20 * expected.uniform()) + 0.0, kDeadline);
+            EXPECT_TRUE(bits_equal(soa.latency_seconds[device], want))
+                << "round=" << round << " device=" << device;
+        }
+    }
 }
 
 // ----------------------------------------------------------- shard layout
@@ -418,6 +462,180 @@ TEST(FleetEngineChaos, FaultPlanReusedUnchangedAndDeterministic) {
         }
     }
     EXPECT_GT(crashed, 0u);
+}
+
+/// What the work callback returned for one (round, device) cell. Each cell
+/// has exactly one writer (the shard that owns the device), so the table
+/// needs no synchronisation.
+struct WorkRecord {
+    bool ran = false;
+    bool scored = false;
+    int attempts = 0;
+    int retries = 0;
+    bool delivered = false;
+    bool garbled = false;
+};
+
+TEST(FleetEngine, RoundTalliesEqualASerialRecount) {
+    // The close tallies integers per shard slice and merges them in shard
+    // order. On a run with faults, churn and deliberate backpressure, every
+    // counter must equal a plain recount from the report's device_degraded
+    // and from what the work callback returned, at any partition.
+    const obs::ScopedMetricsEnabledForTesting metrics_on(true);
+    constexpr std::size_t kRounds = 4;
+    constexpr std::size_t kDevices = 200;
+    constexpr std::size_t kDim = 3;
+    constexpr std::size_t kReasons =
+        static_cast<std::size_t>(DegradedReason::kRejoinStalePrior) + 1;
+    const auto counter_name = [](std::size_t r) {
+        return std::string("fault.degraded.") + to_string(static_cast<DegradedReason>(r));
+    };
+    const auto counter_totals = [&] {
+        std::vector<std::uint64_t> totals(kReasons, 0);
+        for (std::size_t r = 1; r < kReasons; ++r) {
+            totals[r] = obs::Registry::global().counter(counter_name(r)).total();
+        }
+        return totals;
+    };
+
+    std::size_t backpressured = 0;
+    for (const std::size_t shards : {1u, 3u, 16u}) {
+        for (const std::size_t threads : {1u, 4u}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards) +
+                         " threads=" + std::to_string(threads));
+            EngineConfig config;
+            config.rounds = kRounds;
+            config.devices_per_round = kDevices;
+            config.theta_dim = kDim;
+            config.num_shards = shards;
+            config.num_threads = threads;
+            config.server.queue_capacity = 1;
+            config.server.service_seconds_per_batch = 40.0;
+            config.membership.initial_members = 150;
+            const stats::Rng root(2026);
+            const FaultPlan plan(FaultConfig::uniform(0.15), root);
+            const ChurnPlan churn(ChurnConfig::uniform(0.2), root);
+            std::vector<std::vector<WorkRecord>> records(kRounds,
+                                                         std::vector<WorkRecord>(kDevices));
+            const DeviceWork work = [&](std::size_t round, std::size_t device,
+                                        stats::Rng& rng, util::Workspace&) {
+                DeviceResult result;
+                result.accuracy = rng.uniform();
+                result.scored = true;
+                const DeviceFaultDecision faults = plan.device_faults(round, device);
+                if (faults.straggler) {
+                    result.reason = DegradedReason::kStraggler;
+                } else {
+                    if (faults.prior_corrupt || faults.link_outage) {
+                        result.reason = DegradedReason::kFallbackLocalErm;
+                    } else if (result.accuracy < 0.1) {
+                        result.reason = DegradedReason::kNonFinite;
+                    }
+                    const UploadOutcome up = plan.upload_outcome(round, device);
+                    result.attempted_upload = true;
+                    result.upload_attempts = up.attempts;
+                    result.upload_retries = up.retries;
+                    result.upload_delivered = up.delivered;
+                    result.upload_garbled = up.garbled;
+                    result.extra_seconds = up.simulated_seconds;
+                    if (!up.delivered && result.reason == DegradedReason::kNone) {
+                        result.reason = DegradedReason::kUploadDropped;
+                    }
+                    result.theta = rng.standard_normal_vector(kDim);
+                }
+                records[round][device] = {true, result.scored, result.upload_attempts,
+                                          result.upload_retries, result.upload_delivered,
+                                          result.upload_garbled};
+                return result;
+            };
+            const RoundEndFn round_end = [](std::size_t, CloudServer& server) {
+                (void)server.take_serviced_thetas();
+                RoundEndDecision decision;
+                decision.rebroadcast = true;
+                decision.payload_bytes = 64;
+                decision.prior_components = 2;
+                return decision;
+            };
+            const std::vector<std::uint64_t> before = counter_totals();
+            const EngineReport report =
+                run_fleet_engine(config, root.fork(4), plan, work, round_end, nullptr, &churn);
+            const std::vector<std::uint64_t> after = counter_totals();
+            ASSERT_EQ(report.rounds.size(), kRounds);
+            ASSERT_EQ(report.telemetry.series.num_rows(), kRounds);
+            ASSERT_EQ(report.telemetry.membership.num_rows(), kRounds);
+
+            std::vector<std::uint64_t> reason_totals(kReasons, 0);
+            std::uint64_t admitted_uploads = 0;
+            for (std::size_t r = 0; r < kRounds; ++r) {
+                SCOPED_TRACE("round=" + std::to_string(r));
+                const EngineRoundStats& stats = report.rounds[r];
+                ASSERT_EQ(stats.device_degraded.size(), kDevices);
+                std::vector<std::size_t> reasons(kReasons, 0);
+                std::size_t ran = 0, scored = 0, attempted = 0, delivered = 0, dropped = 0;
+                std::size_t garbled = 0, attempts = 0, retries = 0;
+                for (std::size_t j = 0; j < kDevices; ++j) {
+                    const DegradedReason reason = stats.device_degraded[j];
+                    ++reasons[static_cast<std::size_t>(reason)];
+                    const WorkRecord& rec = records[r][j];
+                    if (!rec.ran) continue;
+                    ++ran;
+                    scored += rec.scored ? 1 : 0;
+                    attempted += rec.attempts > 0 ? 1 : 0;
+                    delivered += rec.delivered ? 1 : 0;
+                    dropped += rec.attempts > 0 && !rec.delivered ? 1 : 0;
+                    garbled += rec.garbled ? 1 : 0;
+                    attempts += static_cast<std::size_t>(rec.attempts);
+                    retries += static_cast<std::size_t>(rec.retries);
+                    if (rec.delivered && !rec.garbled && reason != DegradedReason::kBackpressure) {
+                        ++admitted_uploads;
+                    }
+                }
+                const auto count = [&](DegradedReason reason) {
+                    return reasons[static_cast<std::size_t>(reason)];
+                };
+                EXPECT_EQ(stats.crashed, count(DegradedReason::kCrashed));
+                EXPECT_EQ(stats.stragglers, count(DegradedReason::kStraggler));
+                EXPECT_EQ(stats.fallbacks, count(DegradedReason::kFallbackLocalErm));
+                EXPECT_EQ(stats.non_finite, count(DegradedReason::kNonFinite));
+                EXPECT_EQ(stats.backpressure_rejected, count(DegradedReason::kBackpressure));
+                EXPECT_EQ(stats.devices_scored, scored);
+                EXPECT_EQ(stats.uploads_attempted, attempted);
+                EXPECT_EQ(stats.uploads_delivered, delivered);
+                EXPECT_EQ(stats.uploads_dropped, dropped);
+                EXPECT_EQ(stats.uploads_garbled, garbled);
+                EXPECT_EQ(stats.upload_bytes, attempts * kDim * sizeof(double));
+                EXPECT_EQ(stats.upload_retries, retries);
+
+                using health::idx;
+                const obs::RoundSeries& series = report.telemetry.series;
+                const obs::RoundSeries& members = report.telemetry.membership;
+                // Non-member slots stay kNone and count as healthy.
+                EXPECT_EQ(series.at(r, idx(health::FleetCol::kHealthy)),
+                          count(DegradedReason::kNone));
+                EXPECT_EQ(series.at(r, idx(health::FleetCol::kDegraded)),
+                          kDevices - count(DegradedReason::kNone));
+                // The work never flags staleness: every stale prior is a
+                // rejoiner resumed on an old broadcast.
+                EXPECT_EQ(stats.stale_priors,
+                          members.at(r, idx(health::MembershipCol::kRejoinsStale)));
+                // Members that crashed never reach the work callback.
+                EXPECT_EQ(members.at(r, idx(health::MembershipCol::kParticipating)),
+                          ran + count(DegradedReason::kCrashed));
+                for (std::size_t reason = 0; reason < kReasons; ++reason) {
+                    reason_totals[reason] += reasons[reason];
+                }
+            }
+            EXPECT_EQ(report.telemetry.upload_latency_ms.count, admitted_uploads);
+            for (std::size_t reason = 1; reason < kReasons; ++reason) {
+                EXPECT_EQ(after[reason] - before[reason], reason_totals[reason])
+                    << counter_name(reason);
+            }
+            EXPECT_GT(reason_totals[static_cast<std::size_t>(DegradedReason::kCrashed)], 0u);
+            EXPECT_GT(reason_totals[static_cast<std::size_t>(DegradedReason::kNone)], 0u);
+            backpressured += report.total_backpressure_rejected;
+        }
+    }
+    EXPECT_GT(backpressured, 0u);
 }
 
 // ------------------------------------------------------ fleet telemetry
