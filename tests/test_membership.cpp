@@ -10,6 +10,7 @@
 // the engine's reports byte-identical to a run with no plan at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -23,6 +24,7 @@
 #include "edgesim/server.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 #include "test_support.hpp"
 
@@ -658,6 +660,53 @@ TEST(MembershipEngine, ReservedTailAloneEngagesMembershipWithoutChurn) {
         EXPECT_EQ(members.at(r, idx(MembershipCol::kUnknown)), 10u);
         EXPECT_EQ(members.at(r, idx(MembershipCol::kJoins)), 0u);
         EXPECT_EQ(report.rounds[r].devices_scored, 30u);
+    }
+}
+
+TEST(MembershipEngine, LatencyPercentilesCountOnlyParticipants) {
+    // A non-member slot never ran: its latency is the SoA's reset 0 s, not
+    // a measurement. With 70% of the slots outside the fleet, selecting
+    // over every slot would read p50 = 0; the tail must be the nearest-rank
+    // quantiles of the participants' own latencies.
+    EngineConfig config = small_engine_config();
+    config.devices_per_round = 200;
+    config.membership.initial_members = 60;
+    config.num_shards = 7;
+    config.num_threads = 4;
+    const stats::Rng root(99);
+    const stats::Rng device_root = root.fork(4);
+    const FaultPlan plan(FaultConfig{}, root);
+    const std::size_t dim = config.theta_dim;
+    std::vector<std::vector<std::uint8_t>> ran(config.rounds,
+                                               std::vector<std::uint8_t>(200, 0));
+    const DeviceWork work = [&](std::size_t round, std::size_t device, stats::Rng& work_rng,
+                                util::Workspace& /*ws*/) {
+        ran[round][device] = 1;
+        return cheap_work(work_rng, dim);
+    };
+    const RoundEndFn round_end = [](std::size_t /*round*/, CloudServer& server) {
+        (void)server.take_serviced_thetas();
+        return RoundEndDecision{};
+    };
+    const EngineReport report = run_fleet_engine(config, device_root, plan, work, round_end);
+    ASSERT_EQ(report.rounds.size(), config.rounds);
+    for (std::size_t r = 0; r < config.rounds; ++r) {
+        std::vector<double> latencies;
+        for (std::size_t j = 0; j < 200; ++j) {
+            if (ran[r][j] == 0) continue;
+            // Fault-free, no upload backoff: the shard's healthy draw.
+            stats::Rng lat = device_stream(device_root, r, j, DeviceStream::kLatency);
+            latencies.push_back(std::min(
+                config.deadline_seconds * (0.05 + 0.20 * lat.uniform()) + 0.0,
+                config.deadline_seconds));
+        }
+        ASSERT_EQ(latencies.size(), 60u);  // > 50% of the slots never ran
+        std::sort(latencies.begin(), latencies.end());
+        const EngineRoundStats& stats = report.rounds[r];
+        EXPECT_GT(stats.latency_p50_seconds, 0.0);
+        EXPECT_TRUE(bits_equal(stats.latency_p50_seconds, stats::nearest_rank(latencies, 0.50)));
+        EXPECT_TRUE(bits_equal(stats.latency_p99_seconds, stats::nearest_rank(latencies, 0.99)));
+        EXPECT_TRUE(bits_equal(stats.latency_max_seconds, latencies.back()));
     }
 }
 
