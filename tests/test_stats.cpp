@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "stats/descriptive.hpp"
@@ -263,6 +265,36 @@ TEST(Descriptive, NearestRankPicksTheCeilRankElement) {
     EXPECT_DOUBLE_EQ(nearest_rank({}, 0.5), 0.0);
     EXPECT_THROW(nearest_rank(sorted, -0.1), std::invalid_argument);
     EXPECT_THROW(nearest_rank(sorted, 1.1), std::invalid_argument);
+}
+
+TEST(Descriptive, NearestRankIndexSelectsWhatTheSortReads) {
+    // The engine reads its latency tail by successive std::nth_element at
+    // nearest_rank_index, each on the tail the previous one left, then
+    // max_element on the rest. That must land on the sorted sample's
+    // nearest-rank values, ties and tiny samples included.
+    Rng rng(77);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                std::size_t{100}, std::size_t{1001}}) {
+        std::vector<double> values(n);
+        for (double& v : values) v = std::floor(8.0 * rng.uniform());  // many ties
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        std::size_t from = 0;
+        for (const double q : {0.0, 0.5, 0.99, 0.999}) {
+            const std::size_t k = nearest_rank_index(n, q);
+            ASSERT_GE(k, from);
+            std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
+                             values.begin() + static_cast<std::ptrdiff_t>(k), values.end());
+            EXPECT_EQ(values[k], nearest_rank(sorted, q)) << "n=" << n << " q=" << q;
+            from = k;
+        }
+        EXPECT_EQ(*std::max_element(values.begin() + static_cast<std::ptrdiff_t>(from),
+                                    values.end()),
+                  sorted.back());
+    }
+    EXPECT_EQ(nearest_rank_index(4, 0.51), 2u);
+    EXPECT_EQ(nearest_rank_index(4, 1.0), 3u);
+    EXPECT_THROW(nearest_rank_index(4, 1.5), std::invalid_argument);
 }
 
 TEST(Descriptive, RunningStatsMatchesBatch) {
