@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
@@ -215,6 +216,28 @@ TEST(Cholesky, InverseTimesOriginalIsIdentity) {
     const Matrix a = random_spd(5, rng);
     const Matrix inv = Cholesky(a).inverse();
     EXPECT_LT(Matrix::max_abs_diff(a.matmul(inv), Matrix::identity(5)), 1e-8);
+}
+
+// ------------------------------------------------------------- eigen_sym
+
+TEST(EigenSym, DiagonalMatrixEigenvaluesSorted) {
+    const EigenSym es = eigen_sym(Matrix::diagonal({3.0, 1.0, 2.0}));
+    EXPECT_NEAR(es.values[0], 1.0, 1e-10);
+    EXPECT_NEAR(es.values[1], 2.0, 1e-10);
+    EXPECT_NEAR(es.values[2], 3.0, 1e-10);
+}
+
+TEST(EigenSym, ReconstructsMatrix) {
+    stats::Rng rng(7);
+    const Matrix a = random_spd(5, rng);
+    const EigenSym es = eigen_sym(a);
+    // A = V diag(lambda) V^T
+    Matrix scaled = es.vectors;
+    for (std::size_t c = 0; c < 5; ++c) {
+        for (std::size_t r = 0; r < 5; ++r) scaled(r, c) *= es.values[c];
+    }
+    const Matrix rebuilt = scaled.matmul(es.vectors.transposed());
+    EXPECT_LT(Matrix::max_abs_diff(a, rebuilt), 1e-8);
 }
 
 }  // namespace
