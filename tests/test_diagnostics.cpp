@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dp/dpmm_gibbs.hpp"
 #include "dp/prior_diagnostics.hpp"
@@ -148,9 +149,19 @@ TEST(IncrementalGibbs, IncrementalPriorTracksBatchRefit) {
 
 TEST(IncrementalGibbs, Validation) {
     stats::Rng rng(9);
-    DpmmGibbs sampler({{1.0, 2.0}}, incremental_config());
+    DpmmGibbs sampler({{1.0, 2.0}, {1.1, 2.0}, {-1.0, 0.0}, {-1.2, 0.1}}, incremental_config());
     EXPECT_THROW(sampler.add_observation({1.0}, rng), std::invalid_argument);
     EXPECT_THROW(sampler.add_observation({1.0, 2.0}, rng, -1), std::invalid_argument);
+
+    // A non-finite observation is rejected before anything is stored, so
+    // the sampler keeps its size and can still sweep and ship a prior.
+    EXPECT_THROW(sampler.add_observation({std::numeric_limits<double>::quiet_NaN(), 0.0}, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(sampler.add_observation({0.0, std::numeric_limits<double>::infinity()}, rng),
+                 std::invalid_argument);
+    EXPECT_EQ(sampler.num_observations(), 4u);
+    EXPECT_NO_THROW(sampler.sweep(rng));
+    EXPECT_NO_THROW(sampler.extract_prior());
 }
 
 }  // namespace
