@@ -34,10 +34,16 @@
 #
 # The optimizer and DP suites (test_optim, test_dp) ride in both builds,
 # with the golden-metrics suite (test_golden_metrics) that drives them end
-# to end: the Gibbs sampler moves per-cluster cached means on every
-# compaction swap, L-BFGS takes its gradient from the line search's last
-# probe, and the fused EM-surrogate kernel leases workspace buffers per
-# atom — buffer reuse and ownership hand-offs ASan exists to check.
+# to end: the Gibbs sampler indexes flat row-major arrays of whitened
+# observations, cluster sums and cluster means by raw pointer, copying the
+# last cluster's rows into the emptied slot on every compaction swap;
+# L-BFGS takes its gradient from the line search's last probe, and the
+# fused EM-surrogate kernel leases workspace buffers per atom — buffer
+# reuse and ownership hand-offs ASan exists to check. The diagnostics
+# suite (test_diagnostics) holds IncrementalGibbs, the only suite that
+# drives add_observation's insert path, where each arrival is whitened
+# into a grown row; test_linalg holds EigenSym, the Jacobi solver that
+# builds the whitening basis.
 #
 # The phase profiler suite (test_profiler) and the trace test in test_obs
 # ride in both builds: with tracing on, every frame that closes on a pool
@@ -63,7 +69,8 @@ for sanitizer in thread address; do
                  test_linalg_property test_dro_invariants \
                  test_simd_dispatch test_sampling_stats test_obs test_profiler \
                  test_streaming_posterior test_transfer_v2 \
-                 test_optim test_dp test_golden_metrics > /dev/null
+                 test_optim test_dp test_diagnostics test_linalg \
+                 test_golden_metrics > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
     # the allocation-free kernels and workspace arenas are exactly the code
     # whose buffer reuse ASan/TSan can falsify. The event-driven engine
@@ -71,7 +78,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|MixturePrior|GoldenMetrics|ProfilerTest|Trace\.'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|GoldenMetrics|ProfilerTest|Trace\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi
