@@ -47,6 +47,24 @@ inline std::string hex_bits(double value) {
     return buffer;
 }
 
+/// FNV-1a over the f64 bit patterns of `values`, as 16 hex digits: one pin
+/// for a whole array of float results, matching only when every element is
+/// bit-identical.
+inline std::string bits_digest(const std::vector<double>& values) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const double value : values) {
+        std::uint64_t pattern = 0;
+        std::memcpy(&pattern, &value, sizeof(pattern));
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (pattern >> (8 * byte)) & 0xffU;
+            hash *= 0x100000001b3ULL;
+        }
+    }
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(hash));
+    return buffer;
+}
+
 /// Pearson chi-square with small-expected-bin merging: bins whose expected
 /// count falls below 5 pool into one synthetic bin, per standard practice.
 /// Returns the statistic and reports the post-merge degrees of freedom.
