@@ -28,6 +28,12 @@
 // add. The whole project is therefore compiled with -ffp-contract=off
 // (top-level CMakeLists — the scalar kernels below are header-inline) and
 // the vector paths use separate mul/add intrinsics, never FMA.
+//
+// The atom kernel (atom_group_solve) runs the triangular solves of four
+// Gaussian atoms side by side, one atom per vector lane. Lanes never mix,
+// and inside a lane every substitution step is the 8-lane tree dot above
+// followed by a subtract and a true division, so each atom gets the bits
+// of its own Cholesky solves under every backend.
 #pragma once
 
 #include <atomic>
@@ -60,7 +66,33 @@ struct Kernels {
     void (*div_const_n)(double* x, double c, std::size_t n);
     /// acc[i] += x[i] * x[i] (elementwise).
     void (*add_sq_n)(const double* x, double* acc, std::size_t n);
+    /// Lockstep solves for one packed group of kAtomLanes Gaussian atoms of
+    /// dimension d (layout: pack_atom_lane). For each lane j, writes the
+    /// forward solve z_j = L_j⁻¹(theta - mean_j) to z[i * kAtomLanes + j]
+    /// and ‖z_j‖² to quad[j]; with `back_substitute`, then overwrites z_j
+    /// with L_j⁻ᵀ z_j = Σ_j⁻¹(theta - mean_j). Every lane performs exactly
+    /// the IEEE operations of Cholesky::solve_lower_in_place, dot_n(z, z, d)
+    /// and Cholesky::solve_upper_in_place: each substitution subtracts the
+    /// 8-lane tree dot of the solved prefix, then truly divides.
+    void (*atom_group_solve)(const double* group, const double* theta, std::size_t d,
+                             bool back_substitute, double* z, double* quad);
 };
+
+/// Atoms per atom_group_solve group: one AVX2 register of doubles.
+inline constexpr std::size_t kAtomLanes = 4;
+
+/// Doubles one packed atom group of dimension d occupies.
+constexpr std::size_t atom_group_size(std::size_t d) noexcept {
+    return (d + d * d) * kAtomLanes;
+}
+
+/// Writes one atom — its d×d row-major lower Cholesky factor and its mean —
+/// into lane `lane` of a packed group. Each entry sits at [slot *
+/// kAtomLanes + lane], the slots running: the mean (d); the rows of the
+/// factor, diagonal included (d(d+1)/2), for the forward solve; its columns
+/// below the diagonal (d(d-1)/2), for the back solve.
+void pack_atom_lane(const double* lower, const double* mean, std::size_t d, std::size_t lane,
+                    double* group) noexcept;
 
 // ---------------------------------------------------------------------------
 // Scalar backend, header-inline.
@@ -75,6 +107,11 @@ struct Kernels {
 
 namespace scalar {
 
+/// The fixed tree that combines the 8 lanes of every reduction.
+inline double combine_lanes(const double* acc) noexcept {
+    return ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+}
+
 /// Tail elements continue the i mod 8 lane assignment, then the lanes are
 /// combined in the fixed tree order. Every backend funnels through this
 /// epilogue, so the final reduction is the same instruction sequence
@@ -82,7 +119,7 @@ namespace scalar {
 inline double finish_dot(double* acc, const double* x, const double* y, std::size_t i,
                          std::size_t n) noexcept {
     for (; i < n; ++i) acc[i & 7] += x[i] * y[i];
-    return ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    return combine_lanes(acc);
 }
 
 /// 8-lane tree emulation with a plain array — bit-identical to the AVX2 and
@@ -109,7 +146,7 @@ inline double dot_stride_n(const double* x, std::size_t x_stride, const double* 
         for (std::size_t j = 0; j < 8; ++j) acc[j] += x[(i + j) * x_stride] * y[i + j];
     }
     for (; i < n; ++i) acc[i & 7] += x[i * x_stride] * y[i];
-    return ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    return combine_lanes(acc);
 }
 
 inline void axpy_n(double alpha, const double* x, double* y, std::size_t n) noexcept {

@@ -1,7 +1,10 @@
 #include "optim/line_search.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
+
+#include "util/workspace.hpp"
 
 namespace drel::optim {
 namespace {
@@ -40,27 +43,30 @@ LineSearchResult backtracking_armijo(const Objective& objective, const linalg::V
 
 LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& x, double fx,
                               const linalg::Vector& grad, const linalg::Vector& direction,
-                              double initial_step, double c1, double c2, int max_evals) {
+                              double initial_step, double c1, double c2, int max_evals,
+                              linalg::Vector gradient_buffer) {
     LineSearchResult result;
+    result.gradient = std::move(gradient_buffer);
+    result.gradient.clear();
     const double slope0 = linalg::dot(grad, direction);
     if (!(slope0 < 0.0)) return result;
 
-    // Each probe fills a fresh gradient vector and keeps it: every success
-    // path below accepts the point it probed last, and hands that probe's
-    // gradient back.
-    linalg::Vector last_grad;
+    // Each probe refills the one gradient vector: every success path below
+    // accepts the point it probed last, so that probe's gradient is the one
+    // handed back.
+    auto point = util::Workspace::local().vec(x.size());
     auto phi = [&](double t, double& dphi) {
-        linalg::Vector g;
-        const double f = objective.eval(advance(x, t, direction), &g);
+        std::copy(x.begin(), x.end(), point->begin());
+        linalg::axpy(t, direction, *point);
+        result.gradient.clear();
+        const double f = objective.eval(*point, &result.gradient);
         ++result.evaluations;
-        dphi = linalg::dot(g, direction);
-        last_grad = std::move(g);
+        dphi = linalg::dot(result.gradient, direction);
         return f;
     };
     auto accept = [&](double t, double f) {
         result.step = t;
         result.value = f;
-        result.gradient = std::move(last_grad);
         result.success = true;
     };
 
@@ -94,29 +100,36 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
         return false;
     };
 
-    double t_prev = 0.0;
-    double f_prev = fx;
-    double t = initial_step;
-    const double t_max = 1e10;
-    for (int e = 0; e < max_evals; ++e) {
-        double dphi_t = 0.0;
-        const double f_t = phi(t, dphi_t);
-        if (!std::isfinite(f_t) || f_t > fx + c1 * t * slope0 || (e > 0 && f_t >= f_prev)) {
-            zoom(t_prev, f_prev, t);
-            return result;
+    // The bracketing stage; returns once a step is accepted or the search
+    // gives up.
+    auto search = [&] {
+        double t_prev = 0.0;
+        double f_prev = fx;
+        double t = initial_step;
+        const double t_max = 1e10;
+        for (int e = 0; e < max_evals; ++e) {
+            double dphi_t = 0.0;
+            const double f_t = phi(t, dphi_t);
+            if (!std::isfinite(f_t) || f_t > fx + c1 * t * slope0 ||
+                (e > 0 && f_t >= f_prev)) {
+                zoom(t_prev, f_prev, t);
+                return;
+            }
+            if (std::fabs(dphi_t) <= -c2 * slope0) {
+                accept(t, f_t);
+                return;
+            }
+            if (dphi_t >= 0.0) {
+                zoom(t, f_t, t_prev);
+                return;
+            }
+            t_prev = t;
+            f_prev = f_t;
+            t = std::min(2.0 * t, t_max);
         }
-        if (std::fabs(dphi_t) <= -c2 * slope0) {
-            accept(t, f_t);
-            return result;
-        }
-        if (dphi_t >= 0.0) {
-            zoom(t, f_t, t_prev);
-            return result;
-        }
-        t_prev = t;
-        f_prev = f_t;
-        t = std::min(2.0 * t, t_max);
-    }
+    };
+    search();
+    if (!result.success) result.gradient.clear();
     return result;
 }
 

@@ -54,7 +54,10 @@ double MultivariateNormal::mahalanobis_sq(const linalg::Vector& x) const {
 }
 
 double MultivariateNormal::log_pdf_ws(const linalg::Vector& x, util::Workspace& ws) const {
-    const double quad = mahalanobis_sq_ws(x, ws);
+    return log_pdf_from_mahalanobis_sq(mahalanobis_sq_ws(x, ws));
+}
+
+double MultivariateNormal::log_pdf_from_mahalanobis_sq(double quad) const noexcept {
     return -0.5 * (static_cast<double>(dim()) * kLogTwoPi + log_det_ + quad);
 }
 
@@ -94,22 +97,6 @@ void MultivariateNormal::add_scaled_precision_residual(const linalg::Vector& x, 
     linalg::sub_into(x, mean_, *r);
     chol_.solve_in_place(*r);
     linalg::axpy_n(coeff, r->data(), out.data(), dim());
-}
-
-double MultivariateNormal::log_pdf_and_add_scaled_precision_residual(
-    const linalg::Vector& x, double coeff, linalg::Vector& out, util::Workspace& ws) const {
-    if (x.size() != dim() || out.size() != dim()) {
-        throw std::invalid_argument(
-            "MultivariateNormal::log_pdf_and_add_scaled_precision_residual: "
-            "dimension mismatch");
-    }
-    auto r = ws.vec(dim());
-    linalg::sub_into(x, mean_, *r);
-    chol_.solve_lower_in_place(*r);
-    const double quad = linalg::dot_n(r->data(), r->data(), dim());
-    chol_.solve_upper_in_place(*r);
-    linalg::axpy_n(coeff, r->data(), out.data(), dim());
-    return -0.5 * (static_cast<double>(dim()) * kLogTwoPi + log_det_ + quad);
 }
 
 linalg::Vector MultivariateNormal::sample(Rng& rng) const {

@@ -37,6 +37,11 @@ class MultivariateNormal {
 
     double log_pdf(const linalg::Vector& x) const;
 
+    /// log_pdf at a point whose Mahalanobis quadratic `quad` (see
+    /// mahalanobis_sq) the caller solved itself, as MixturePrior's lockstep
+    /// atoms do. log_pdf_ws returns exactly this of its own quadratic.
+    double log_pdf_from_mahalanobis_sq(double quad) const noexcept;
+
     /// (x - mean)ᵀ Σ⁻¹ (x - mean)
     double mahalanobis_sq(const linalg::Vector& x) const;
 
@@ -55,15 +60,6 @@ class MultivariateNormal {
     /// axpy(coeff, precision_times_residual(x), out).
     void add_scaled_precision_residual(const linalg::Vector& x, double coeff,
                                        linalg::Vector& out, util::Workspace& ws) const;
-
-    /// log_pdf_ws and add_scaled_precision_residual fused: one residual and
-    /// one lower solve serve both. The quadratic form of L⁻¹(x - mean) gives
-    /// the value; an upper solve of the same buffer gives Σ⁻¹(x - mean).
-    /// Returns bits identical to log_pdf_ws and leaves `out` bit-identical to
-    /// the separate call.
-    double log_pdf_and_add_scaled_precision_residual(const linalg::Vector& x, double coeff,
-                                                     linalg::Vector& out,
-                                                     util::Workspace& ws) const;
 
     linalg::Vector sample(Rng& rng) const;
 
