@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -206,11 +205,7 @@ EmDroResult EmDroSolver::solve() const {
     // of the DP prior is exactly why a single start is not enough.
     std::vector<linalg::Vector> starts;
     starts.push_back(prior_->mean());
-    std::vector<std::size_t> order(prior_->num_components());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return prior_->weights()[a] > prior_->weights()[b];
-    });
+    const std::vector<std::size_t> order = prior_->components_by_weight();
     const int atoms = std::min<int>(options_.multi_start_atoms,
                                     static_cast<int>(prior_->num_components()));
     for (int k = 0; k < atoms; ++k) starts.push_back(prior_->atom(order[k]).mean());

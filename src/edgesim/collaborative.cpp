@@ -141,11 +141,7 @@ CollaborativeResult collaborative_fit(const std::vector<const models::Dataset*>&
     // device type).
     std::vector<linalg::Vector> starts;
     starts.push_back(prior.mean());
-    std::vector<std::size_t> order(prior.num_components());
-    for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return prior.weights()[a] > prior.weights()[b];
-    });
+    const std::vector<std::size_t> order = prior.components_by_weight();
     const int atoms = std::min<int>(config.multi_start_atoms,
                                     static_cast<int>(prior.num_components()));
     for (int k = 0; k < atoms; ++k) starts.push_back(prior.atom(order[k]).mean());

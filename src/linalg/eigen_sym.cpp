@@ -77,10 +77,12 @@ EigenSym eigen_sym(const Matrix& input) {
     }
 
     // Sort ascending by eigenvalue, permuting eigenvector columns to match.
+    // Stable, so equal eigenvalues keep their column order: std::sort leaves
+    // equal keys in an implementation-defined order.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t i, std::size_t j) { return a(i, i) < a(j, j); });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t i, std::size_t j) { return a(i, i) < a(j, j); });
 
     EigenSym out{Vector(n), Matrix(n, n)};
     for (std::size_t k = 0; k < n; ++k) {

@@ -240,5 +240,14 @@ TEST(EigenSym, ReconstructsMatrix) {
     EXPECT_LT(Matrix::max_abs_diff(a, rebuilt), 1e-8);
 }
 
+// Equal eigenvalues keep their column order. Past 16 entries libstdc++'s
+// std::sort no longer keeps equal keys in index order, so 20 is the size
+// where an unstable sort would permute the identity's eigenvectors.
+TEST(EigenSym, EqualEigenvaluesKeepColumnOrder) {
+    const EigenSym es = eigen_sym(Matrix::identity(20));
+    EXPECT_EQ(Matrix::max_abs_diff(es.vectors, Matrix::identity(20)), 0.0);
+    for (const double value : es.values) EXPECT_EQ(value, 1.0);
+}
+
 }  // namespace
 }  // namespace drel::linalg
