@@ -74,6 +74,10 @@ class TaskPopulation {
     TaskSpec sample_task(stats::Rng& rng) const;
 
     /// Samples one dataset of `n` examples for a device with the given task.
+    /// Throws std::invalid_argument, before any draw, on a task or
+    /// feature_shift of the wrong dimension, a non-positive margin_scale, a
+    /// label_noise or outlier_fraction outside [0, 1], or a non-finite
+    /// feature_scale or outlier_radius.
     models::Dataset generate(const TaskSpec& task, std::size_t n, stats::Rng& rng,
                              const DataOptions& options = {}) const;
 
