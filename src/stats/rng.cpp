@@ -121,12 +121,18 @@ std::size_t Rng::categorical(const linalg::Vector& weights) {
         total += w;
     }
     if (!(total > 0.0)) throw std::invalid_argument("Rng::categorical: all weights are zero");
-    double u = uniform() * total;
+    return categorical_index(weights, uniform() * total);
+}
+
+std::size_t categorical_index(const linalg::Vector& weights, double u) noexcept {
     for (std::size_t i = 0; i < weights.size(); ++i) {
         u -= weights[i];
         if (u <= 0.0) return i;
     }
-    return weights.size() - 1;  // round-off fallthrough
+    // Round-off fall-through: u outran the running sums by a few ulps.
+    std::size_t last = weights.size() - 1;
+    while (last > 0 && !(weights[last] > 0.0)) --last;
+    return last;
 }
 
 linalg::Vector Rng::dirichlet(const linalg::Vector& alpha) {

@@ -111,4 +111,11 @@ class Rng {
     bool has_spare_normal_ = false;
 };
 
+/// The index Rng::categorical draws for the point `u` in [0, sum of
+/// `weights`): the first i whose running sum of weights reaches u. When
+/// round-off leaves u above the last running sum, the last index with
+/// positive weight, never a zero-weight one. `weights` must be
+/// non-negative with a positive entry.
+std::size_t categorical_index(const linalg::Vector& weights, double u) noexcept;
+
 }  // namespace drel::stats

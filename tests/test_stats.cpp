@@ -92,6 +92,27 @@ TEST(Rng, CategoricalRejectsInvalid) {
     EXPECT_THROW(rng.categorical({-1.0, 2.0}), std::invalid_argument);
 }
 
+// uniform()'s largest value times the total can outrun the running sums by
+// an ulp, leaving u > 0 after the last weight. The draw must then land on
+// the last positive weight: the zero at the end has probability 0.
+TEST(Rng, CategoricalFallThroughSkipsZeroWeights) {
+    const linalg::Vector weights = {0.0069118951954526111, 0.64779672517974751,
+                                    0.39252393092058474, 0.039837051216532395, 0.0};
+    double total = 0.0;
+    for (const double w : weights) total += w;
+    const double u = (1.0 - 0x1p-53) * total;
+    double rest = u;
+    for (const double w : weights) rest -= w;
+    ASSERT_GT(rest, 0.0) << "u no longer falls through; the case is not exercised";
+    EXPECT_EQ(categorical_index(weights, u), 3u);
+
+    // Inside the range the selection is the running-sum one.
+    EXPECT_EQ(categorical_index(weights, 0.0), 0u);
+    EXPECT_EQ(categorical_index(weights, 0.5), 1u);
+    EXPECT_EQ(categorical_index(weights, 0.7), 2u);
+    EXPECT_EQ(categorical_index({0.0, 0.0, 2.0, 0.0}, 2.0 + 1e-15), 2u);
+}
+
 TEST(Rng, DirichletOnSimplex) {
     Rng rng(8);
     for (int i = 0; i < 100; ++i) {
