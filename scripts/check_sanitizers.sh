@@ -45,6 +45,14 @@
 # into a grown row; test_linalg holds EigenSym, the Jacobi solver that
 # builds the whitening basis.
 #
+# The data and models suites (test_data, test_models) ride in both builds:
+# TaskPopulation::generate draws each sample straight into its dataset row
+# and the metrics score rows through raw pointers, and the same suites'
+# pins (TaskPopulation.GeneratePinned) and metric cases (Metrics.*) drive
+# both. The lockstep prior-atom kernel packs four atoms per SIMD group
+# with padded lanes, and L-BFGS keeps its correction ring in leased
+# buffers; both already run here through test_dp and test_optim.
+#
 # The phase profiler suite (test_profiler) and the trace test in test_obs
 # ride in both builds: with tracing on, every frame that closes on a pool
 # worker appends to the profiler's shared trace buffer, and the executor
@@ -70,7 +78,7 @@ for sanitizer in thread address; do
                  test_simd_dispatch test_sampling_stats test_obs test_profiler \
                  test_streaming_posterior test_transfer_v2 \
                  test_optim test_dp test_diagnostics test_linalg \
-                 test_golden_metrics > /dev/null
+                 test_data test_models test_golden_metrics > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
     # the allocation-free kernels and workspace arenas are exactly the code
     # whose buffer reuse ASan/TSan can falsify. The event-driven engine
@@ -78,7 +86,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|GoldenMetrics|ProfilerTest|Trace\.'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|TaskPopulation|GoldenMetrics|ProfilerTest|Trace\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi
