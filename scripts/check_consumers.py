@@ -5,10 +5,8 @@
 
 A header src/<module>/<name>.hpp is consumed when a file other than its own
 src/<module>/<name>.cpp includes it as "<module>/<name>.hpp" from src/,
-bench/, examples/ or perfbench/. Tests do not count, and neither do the
-micro-benchmark binaries (bench/bench_micro.cpp, bench/bench_perf_runner.cpp):
-they time whatever the library holds, so they cannot be what keeps a module
-alive. Code nothing consumes is deleted rather than carried.
+bench/, examples/ or perfbench/. Tests do not count. Code nothing consumes
+is deleted rather than carried.
 
 ALLOWLIST names the headers exempt from the rule, each with its reason. An
 entry whose header is gone or has gained a consumer is stale and fails the
@@ -27,7 +25,6 @@ ALLOWLIST = {
 }
 
 CONSUMER_DIRS = ("src", "bench", "examples", "perfbench")
-NOT_CONSUMERS = {"bench/bench_micro.cpp", "bench/bench_perf_runner.cpp"}
 SOURCE_SUFFIXES = {".hpp", ".cpp"}
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
@@ -40,8 +37,6 @@ def includers(root):
             if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
                 continue
             rel = path.relative_to(root).as_posix()
-            if rel in NOT_CONSUMERS:
-                continue
             for target in INCLUDE.findall(path.read_text(errors="replace")):
                 found.setdefault(target, set()).add(rel)
     return found
