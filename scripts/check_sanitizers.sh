@@ -13,8 +13,8 @@
 #
 # The SIMD dispatch and sampling-statistics suites (test_simd_dispatch,
 # test_sampling_stats) ride in both sanitizer builds: the dispatch layer's
-# scoped-override atomics are TSan territory, and the alias/reservoir
-# builds index worklists ASan should watch.
+# scoped-override atomics are TSan territory, and the alias-table build
+# indexes worklists ASan should watch.
 #
 # The observability suite (test_obs: Timeseries/Health/FleetHealth) rides
 # along too: histograms are observed from worker threads through relaxed

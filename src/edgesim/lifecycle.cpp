@@ -31,6 +31,9 @@ linalg::Vector fit_theta(const models::Dataset& data, const models::Loss& loss) 
     return optim::minimize_lbfgs(objective, linalg::zeros(data.dim()), options).x;
 }
 
+/// Streaming refit's variational truncation K.
+constexpr std::size_t kStreamingTruncation = 8;
+
 data::TaskPopulation population_with_modes(const std::vector<data::ParameterMode>& modes) {
     return data::TaskPopulation(std::vector<data::ParameterMode>(modes));
 }
@@ -118,10 +121,11 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
     const dp::MixturePrior initial_prior = broadcast_prior;
 
     // Streaming refit: the bootstrap prior seeds both the anchor and the
-    // pseudo-observation mass, so the first extract resembles the Gibbs
-    // broadcast. Batch mode constructs nothing here and keeps the
-    // historical per-upload Gibbs refresh bit for bit.
-    const CloudRefitMode refit_mode = resolve_refit_mode(config.cloud.refit_mode);
+    // pseudo-observation mass (one pseudo-observation per contributor), so
+    // the first extract resembles the Gibbs broadcast. Batch mode
+    // constructs nothing here and keeps the historical per-upload Gibbs
+    // refresh bit for bit.
+    const CloudRefitMode refit_mode = resolve_refit_mode(config.refit_mode);
     std::optional<dp::StreamingVb> streaming;
     if (refit_mode == CloudRefitMode::kStreaming) {
         dp::StreamingVbConfig svb;
@@ -129,10 +133,8 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
         svb.base_mean = dpmm.base_mean;
         svb.base_covariance = dpmm.base_covariance;
         svb.within_covariance = dpmm.within_covariance;
-        svb.truncation = config.cloud.streaming_truncation;
-        svb.prior_strength = config.cloud.streaming_prior_strength > 0.0
-                                 ? config.cloud.streaming_prior_strength
-                                 : static_cast<double>(config.initial_contributors);
+        svb.truncation = kStreamingTruncation;
+        svb.prior_strength = static_cast<double>(config.initial_contributors);
         streaming.emplace(std::move(svb), broadcast_prior);
     }
 
@@ -277,17 +279,8 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
     // --- Cloud refresh policy, run by the engine at each round close. ---
     const RoundEndFn round_end = [&](std::size_t round, CloudServer& server) {
         RoundEndDecision decision;
-        std::vector<std::pair<std::size_t, linalg::Vector>> uploads;
-        if (config.max_refresh_uploads > 0) {
-            // Thinning draws from its own stream so enabling the bound
-            // perturbs no kPosteriorUpdate/kKlEstimate draw.
-            stats::Rng subsample_rng =
-                server_stream(server_root, round, ServerStream::kSubsample);
-            uploads = server.sample_serviced_thetas(config.max_refresh_uploads,
-                                                    subsample_rng);
-        } else {
-            uploads = server.take_serviced_thetas();
-        }
+        std::vector<std::pair<std::size_t, linalg::Vector>> uploads =
+            server.take_serviced_thetas();
         if (config.feedback && !uploads.empty()) {
             DREL_PROFILE_SCOPE("lifecycle.cloud_refresh");
             dp::MixturePrior refreshed = broadcast_prior;

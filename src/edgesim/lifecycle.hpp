@@ -42,15 +42,6 @@ enum class CloudRefitMode {
     kStreaming,
 };
 
-struct CloudRefitConfig {
-    CloudRefitMode refit_mode = CloudRefitMode::kBatch;
-    /// Streaming truncation K (kStreaming only).
-    std::size_t streaming_truncation = 8;
-    /// Pseudo-observation mass carried over from the bootstrap prior
-    /// (kStreaming only); 0 = derive from initial_contributors.
-    double streaming_prior_strength = 0.0;
-};
-
 struct LifecycleConfig {
     // Population.
     std::size_t feature_dim = 8;
@@ -82,13 +73,6 @@ struct LifecycleConfig {
     bool feedback = true;
     int refresh_sweeps_per_upload = 3;
 
-    /// Upper bound on serviced uploads folded into a single round's cloud
-    /// refresh; the excess is thinned by a weighted reservoir with recency
-    /// weights (CloudServer::sample_serviced_thetas, ServerStream::
-    /// kSubsample). 0 = no bound: every serviced upload refreshes the
-    /// prior, the historical behavior.
-    std::size_t max_refresh_uploads = 0;
-
     /// Re-broadcast when symmetric KL(new prior, last broadcast) exceeds
     /// this; the check itself is cheap (Monte-Carlo with `kl_samples`).
     double rebroadcast_kl_threshold = 0.05;
@@ -98,7 +82,7 @@ struct LifecycleConfig {
     /// DREL_CLOUD_REFIT env var ("batch" | "streaming") overrides the
     /// configured mode — the CI leg that replays the fleet suite under
     /// streaming uses it.
-    CloudRefitConfig cloud;
+    CloudRefitMode refit_mode = CloudRefitMode::kBatch;
 
     /// Wire options for prior broadcasts. The default (v1, full fidelity)
     /// reproduces the historical byte accounting exactly; v2 options

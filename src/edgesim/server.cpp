@@ -16,7 +16,6 @@
 #include "obs/timeseries.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/multivariate_normal.hpp"
-#include "stats/weighted_reservoir.hpp"
 #include "util/executor.hpp"
 
 namespace drel::edgesim {
@@ -91,38 +90,6 @@ std::vector<std::pair<std::size_t, linalg::Vector>> CloudServer::take_serviced_t
     std::vector<std::pair<std::size_t, linalg::Vector>> out;
     out.reserve(serviced_thetas_.size());
     for (auto& entry : serviced_thetas_) {
-        out.emplace_back(entry.device, std::move(entry.theta));
-    }
-    serviced_thetas_.clear();
-    return out;
-}
-
-std::vector<std::pair<std::size_t, linalg::Vector>> CloudServer::sample_serviced_thetas(
-    std::size_t max_count, stats::Rng& rng) {
-    if (max_count == 0 || serviced_thetas_.size() <= max_count) {
-        return take_serviced_thetas();
-    }
-    // Same canonical order as take_serviced_thetas: the reservoir's offer
-    // stream — and therefore the kept set — is arrival-order independent.
-    std::sort(serviced_thetas_.begin(), serviced_thetas_.end(),
-              [](const ServicedTheta& a, const ServicedTheta& b) {
-                  return a.round != b.round ? a.round < b.round : a.device < b.device;
-              });
-    std::size_t latest_round = 0;
-    for (const ServicedTheta& entry : serviced_thetas_) {
-        latest_round = std::max(latest_round, entry.round);
-    }
-    stats::WeightedReservoir reservoir(max_count);
-    for (std::size_t i = 0; i < serviced_thetas_.size(); ++i) {
-        // Halve the weight per round of age; clamp so ldexp never denormals.
-        const std::size_t age = latest_round - serviced_thetas_[i].round;
-        const double weight = std::ldexp(1.0, -static_cast<int>(std::min<std::size_t>(age, 64)));
-        reservoir.offer(i, weight, rng);
-    }
-    std::vector<std::pair<std::size_t, linalg::Vector>> out;
-    out.reserve(max_count);
-    for (const std::size_t i : reservoir.sorted_items()) {
-        ServicedTheta& entry = serviced_thetas_[i];
         out.emplace_back(entry.device, std::move(entry.theta));
     }
     serviced_thetas_.clear();

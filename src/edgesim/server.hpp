@@ -60,7 +60,6 @@ namespace drel::edgesim {
 enum class ServerStream : std::uint64_t {
     kPosteriorUpdate = 0,  ///< online DP refresh sweeps
     kKlEstimate = 1,       ///< Monte-Carlo symmetric-KL rebroadcast trigger
-    kSubsample = 2,        ///< weighted reservoir over serviced uploads
 };
 
 /// Collision-free per-round server stream: server_root.fork(round)
@@ -104,18 +103,6 @@ class CloudServer {
     /// Uploads serviced since the last take, sorted by (round, global
     /// device index) — arrival-order independent. Clears the buffer.
     std::vector<std::pair<std::size_t, linalg::Vector>> take_serviced_thetas();
-
-    /// Like take_serviced_thetas(), but keeps at most `max_count` uploads,
-    /// chosen by an A-ExpJ weighted reservoir with recency weights
-    /// 2^-(latest_round - round): a round-newer upload is twice as likely to
-    /// survive, bounding refresh cost at any fleet scale without discarding
-    /// history outright. max_count == 0 or a buffer already within budget
-    /// degrades to the plain take (no rng draw — behavior-identical).
-    /// Offers stream in (round, device) order, so the kept set is a pure
-    /// function of the serviced multiset and the rng state. Clears the
-    /// buffer.
-    std::vector<std::pair<std::size_t, linalg::Vector>> sample_serviced_thetas(
-        std::size_t max_count, stats::Rng& rng);
 
     /// Cumulative statistics over every serviced batch.
     const UploadStats& merged_stats() const noexcept { return merged_; }

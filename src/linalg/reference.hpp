@@ -225,7 +225,7 @@ inline void batch_log_densities(const std::vector<Vector>& means,
 }
 
 // ---------------------------------------------------------------------------
-// Oracles for the sampling kernels (stats/alias_table, stats/weighted_reservoir).
+// Oracles for the sampling kernel (stats/alias_table).
 
 /// The linear CDF scan the alias table replaces, with Rng::categorical's
 /// exact arithmetic (subtractive scan, round-off fallthrough to the last
@@ -260,29 +260,6 @@ inline Vector alias_pmf(const std::vector<double>& prob,
         pmf[alias[i]] += (1.0 - prob[i]) / n;
     }
     return pmf;
-}
-
-/// Naive Efraimidis–Spirakis A-ES: item i gets key uniforms[i]^(1/w_i) and
-/// the k largest keys win (ties by lower index). The exponential-jump
-/// reservoir must match this DISTRIBUTION — inclusion probabilities, not
-/// draw-for-draw equality, since the jumps consume a different uniform
-/// stream.
-inline std::vector<std::size_t> weighted_topk(const Vector& weights, const Vector& uniforms,
-                                              std::size_t k) {
-    if (weights.size() != uniforms.size()) {
-        throw std::invalid_argument("reference::weighted_topk: size mismatch");
-    }
-    std::vector<std::size_t> order(weights.size());
-    std::vector<double> keys(weights.size());
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        order[i] = i;
-        keys[i] = weights[i] > 0.0 ? std::pow(uniforms[i], 1.0 / weights[i]) : 0.0;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) { return keys[a] > keys[b]; });
-    order.resize(std::min(k, order.size()));
-    std::sort(order.begin(), order.end());
-    return order;
 }
 
 }  // namespace drel::linalg::reference

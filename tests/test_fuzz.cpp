@@ -12,7 +12,6 @@
 #include "linalg/reference.hpp"
 #include "stats/alias_table.hpp"
 #include "stats/rng.hpp"
-#include "stats/weighted_reservoir.hpp"
 
 namespace drel {
 namespace {
@@ -294,24 +293,6 @@ TEST(FuzzAliasTable, RandomWeightVectorsAlwaysReconstructTheirPmf) {
             EXPECT_NEAR(pmf[i], weights[i] / total, 1e-9) << "trial " << trial;
         }
     }
-}
-
-TEST(FuzzWeightedReservoir, HostileWeightsThrowAndZeroWeightsAreLegal) {
-    stats::Rng rng(84);
-    stats::WeightedReservoir reservoir(3);
-    EXPECT_THROW(stats::WeightedReservoir(0), std::invalid_argument);
-    EXPECT_THROW(reservoir.offer(0, -1.0, rng), std::invalid_argument);
-    EXPECT_THROW(reservoir.offer(0, std::numeric_limits<double>::quiet_NaN(), rng),
-                 std::invalid_argument);
-    EXPECT_THROW(reservoir.offer(0, std::numeric_limits<double>::infinity(), rng),
-                 std::invalid_argument);
-    // All-zero stream: fills with zero-key entries, never draws, never hangs.
-    for (std::size_t i = 0; i < 64; ++i) reservoir.offer(i, 0.0, rng);
-    EXPECT_EQ(reservoir.size(), 3u);
-    // Positive weights displace every zero-weight resident.
-    for (std::size_t i = 100; i < 103; ++i) reservoir.offer(i, 1.0, rng);
-    const std::vector<std::size_t> kept = reservoir.sorted_items();
-    EXPECT_EQ(kept, (std::vector<std::size_t>{100, 101, 102}));
 }
 
 }  // namespace

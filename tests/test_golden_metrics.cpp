@@ -237,7 +237,7 @@ TEST_F(GoldenMetrics, FleetStreamingSmall) {
         config.novel_mode_round = 1;
         config.learner.em.max_outer_iterations = 6;
         config.learner.transfer_weight = 2.0;
-        config.cloud.refit_mode = edgesim::CloudRefitMode::kStreaming;
+        config.refit_mode = edgesim::CloudRefitMode::kStreaming;
         config.wire.version = edgesim::kWireV2;
         config.wire.quantized = true;
         config.wire.quantization_bits = 8;

@@ -1,13 +1,12 @@
-// Statistical goodness-of-fit suite for the sampling kernels
-// (stats/alias_table, stats/weighted_reservoir) — the `statistical` ctest
-// label.
+// Statistical goodness-of-fit suite for the alias-table sampling kernel
+// (stats/alias_table) — the `statistical` ctest label.
 //
 // Every test draws from a FIXED seed, so each chi-square statistic is a
 // deterministic number: the assertions cannot flake. The critical values
 // are set at df + 5*sqrt(2*df) — roughly five standard deviations above the
 // chi-square mean, far past any plausible healthy draw for these seeds yet
 // tight enough that a real distribution bug (swapped alias branch, biased
-// bucket pick, broken jump length) lands orders of magnitude outside.
+// bucket pick) lands orders of magnitude outside.
 // Expected-count-below-5 bins are merged before computing the statistic, per
 // standard chi-square practice.
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "linalg/reference.hpp"
 #include "stats/alias_table.hpp"
 #include "stats/rng.hpp"
-#include "stats/weighted_reservoir.hpp"
 #include "test_support.hpp"
 
 namespace drel {
@@ -118,126 +116,6 @@ TEST(SamplingStatsAlias, MatchesCategoricalScanDistribution) {
     EXPECT_LT(alias_stat, chi_square_critical(df));
     const double scan_stat = chi_square_statistic(scan_counts, weights, draws, &df);
     EXPECT_LT(scan_stat, chi_square_critical(df));
-}
-
-// ---------------------------------------------------------------------------
-// Weighted reservoir inclusion probabilities.
-
-TEST(SamplingStatsReservoir, CapacityOneMatchesWeightedCategorical) {
-    // With k = 1 the A-ES winner is EXACTLY a categorical draw with
-    // p_i = w_i / sum(w) — chi-square-able against the closed form.
-    const std::vector<double> weights = {1.0, 2.0, 4.0, 8.0, 1.0, 0.5};
-    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-    std::vector<double> probabilities(weights.size());
-    for (std::size_t i = 0; i < weights.size(); ++i) probabilities[i] = weights[i] / total;
-
-    const std::uint64_t trials = 20000;
-    stats::Rng root(9101);
-    std::vector<std::uint64_t> counts(weights.size(), 0);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        stats::Rng rng = root.fork(t);
-        stats::WeightedReservoir reservoir(1);
-        for (std::size_t i = 0; i < weights.size(); ++i) reservoir.offer(i, weights[i], rng);
-        const std::vector<std::size_t> kept = reservoir.sorted_items();
-        ASSERT_EQ(kept.size(), 1u);
-        ++counts[kept[0]];
-    }
-    std::size_t df = 0;
-    const double statistic = chi_square_statistic(counts, probabilities, trials, &df);
-    EXPECT_LT(statistic, chi_square_critical(df)) << "chi2=" << statistic << " df=" << df;
-}
-
-TEST(SamplingStatsReservoir, UniformWeightsIncludeUniformly) {
-    // Uniform weights: every item's inclusion probability is exactly k/N.
-    const std::size_t n = 500;
-    const std::size_t k = 25;
-    const std::uint64_t trials = 600;
-    stats::Rng root(9102);
-    std::vector<std::uint64_t> counts(n, 0);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        stats::Rng rng = root.fork(t);
-        stats::WeightedReservoir reservoir(k);
-        for (std::size_t i = 0; i < n; ++i) reservoir.offer(i, 1.0, rng);
-        for (const std::size_t item : reservoir.sorted_items()) ++counts[item];
-    }
-    // Inclusions within a trial are negatively correlated (fixed sample
-    // size), which only SHRINKS the statistic's variance relative to the
-    // multinomial null — the chi-square bound stays valid. Each trial
-    // contributes k inclusion slots, each landing on item i with
-    // probability 1/n, so expected counts are trials*k/n per item.
-    const std::vector<double> probabilities(n, 1.0 / static_cast<double>(n));
-    std::size_t df = 0;
-    const double statistic =
-        chi_square_statistic(counts, probabilities, trials * k, &df);
-    EXPECT_LT(statistic, chi_square_critical(df)) << "chi2=" << statistic << " df=" << df;
-
-    // Exact invariant, every trial: exactly k survivors from n offers.
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) total += c;
-    EXPECT_EQ(total, trials * k);
-}
-
-TEST(SamplingStatsReservoir, HeavierItemsIncludeMoreOften) {
-    // 10x weight must visibly raise inclusion; also pins per-stream
-    // position independence (heavy items scattered through the stream).
-    const std::size_t n = 60;
-    const std::size_t k = 6;
-    const std::uint64_t trials = 3000;
-    stats::Rng root(9103);
-    std::vector<std::uint64_t> counts(n, 0);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        stats::Rng rng = root.fork(t);
-        stats::WeightedReservoir reservoir(k);
-        for (std::size_t i = 0; i < n; ++i) {
-            reservoir.offer(i, i % 10 == 3 ? 10.0 : 1.0, rng);
-        }
-        for (const std::size_t item : reservoir.sorted_items()) ++counts[item];
-    }
-    double heavy_mean = 0.0;
-    double light_mean = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        (i % 10 == 3 ? heavy_mean : light_mean) += static_cast<double>(counts[i]);
-    }
-    heavy_mean /= static_cast<double>(n / 10);
-    light_mean /= static_cast<double>(n - n / 10);
-    EXPECT_GT(heavy_mean, 3.0 * light_mean)
-        << "heavy=" << heavy_mean << " light=" << light_mean;
-}
-
-TEST(SamplingStatsReservoir, MatchesNaiveTopkDistributionAtCapacityOne) {
-    // The A-ExpJ stream and the naive per-item-key oracle draw different
-    // uniforms, so compare their k=1 winner DISTRIBUTIONS over many trials.
-    const std::vector<double> weights = {0.5, 1.5, 3.0, 1.0};
-    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-    const std::uint64_t trials = 20000;
-    stats::Rng root(9104);
-    std::vector<std::uint64_t> naive_counts(weights.size(), 0);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        stats::Rng rng = root.fork(t);
-        linalg::Vector uniforms(weights.size());
-        for (double& u : uniforms) u = rng.uniform();
-        const std::vector<std::size_t> kept =
-            linalg::reference::weighted_topk(weights, uniforms, 1);
-        ASSERT_EQ(kept.size(), 1u);
-        ++naive_counts[kept[0]];
-    }
-    std::vector<double> probabilities(weights.size());
-    for (std::size_t i = 0; i < weights.size(); ++i) probabilities[i] = weights[i] / total;
-    std::size_t df = 0;
-    const double statistic = chi_square_statistic(naive_counts, probabilities, trials, &df);
-    EXPECT_LT(statistic, chi_square_critical(df))
-        << "naive oracle off its own closed form: chi2=" << statistic;
-}
-
-TEST(SamplingStatsReservoir, KeepsEverythingWhenUnderfilled) {
-    stats::Rng rng(9105);
-    stats::WeightedReservoir reservoir(10);
-    for (std::size_t i = 0; i < 7; ++i) reservoir.offer(i * 3, 1.0 + static_cast<double>(i), rng);
-    EXPECT_EQ(reservoir.size(), 7u);
-    EXPECT_EQ(reservoir.offered(), 7u);
-    const std::vector<std::size_t> kept = reservoir.sorted_items();
-    ASSERT_EQ(kept.size(), 7u);
-    for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(kept[i], i * 3);
 }
 
 }  // namespace
