@@ -1,8 +1,10 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace drel::obs {
@@ -229,32 +231,57 @@ class Parser {
         }
     }
 
+    bool consume_char(char c) {
+        if (pos_ >= text_.size() || text_[pos_] != c) return false;
+        ++pos_;
+        return true;
+    }
+
+    bool consume_digits() {
+        const std::size_t begin = pos_;
+        while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+            ++pos_;
+        }
+        return pos_ > begin;
+    }
+
+    /// Scans JSON's number grammar exactly,
+    /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and fails at the first
+    /// character that breaks it; whatever follows a complete number is left
+    /// to the caller, which rejects anything but a delimiter. A non-negative
+    /// integer token becomes a uint64, every other number a double.
     JsonValue parse_number() {
         skip_whitespace();
         const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-        bool fractional = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-                fractional = true;
-                ++pos_;
-            } else {
-                break;
-            }
+        const bool negative = consume_char('-');
+        if (!consume_char('0') && !consume_digits()) {
+            fail(negative ? "expected a digit after '-'" : "expected a value");
         }
-        if (pos_ == start) fail("expected a value");
+        bool integral = !negative;
+        if (consume_char('.')) {
+            integral = false;
+            if (!consume_digits()) fail("expected a digit after '.'");
+        }
+        if (consume_char('e') || consume_char('E')) {
+            integral = false;
+            if (!consume_char('+')) consume_char('-');
+            if (!consume_digits()) fail("expected a digit in the exponent");
+        }
         const std::string token(text_.substr(start, pos_ - start));
-        try {
-            if (!fractional && token[0] != '-') {
+        if (integral) {
+            try {
                 return JsonValue(static_cast<std::uint64_t>(std::stoull(token)));
+            } catch (const std::out_of_range&) {
+                fail("integer out of range '" + token + "'");
             }
-            return JsonValue(std::stod(token));
-        } catch (const std::exception&) {
-            fail("malformed number '" + token + "'");
         }
+        // strtod, not stod: a token that underflows reads as the nearest
+        // subnormal or zero, as the writer's own subnormals must; only an
+        // overflow is out of range.
+        errno = 0;
+        const double value = std::strtod(token.c_str(), nullptr);
+        if (errno == ERANGE && std::isinf(value)) fail("number out of range '" + token + "'");
+        return JsonValue(value);
     }
 
     std::string_view text_;

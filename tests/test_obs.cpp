@@ -67,6 +67,9 @@ TEST(Json, ParseRoundTripsNestedDocument) {
     EXPECT_TRUE(array[4].is_null());
     EXPECT_EQ(doc.at("nested").at("k").as_string(), "v");
     EXPECT_EQ(JsonValue::parse(doc.dump(2)).dump(0), doc.dump(0));
+    // The smallest double the writer can emit, a subnormal, reads back.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    EXPECT_EQ(JsonValue::parse(JsonValue(tiny).dump(0)).as_number(), tiny);
 }
 
 TEST(Json, ParserRejectsMalformedInput) {
@@ -75,6 +78,16 @@ TEST(Json, ParserRejectsMalformedInput) {
     EXPECT_THROW(JsonValue::parse("{\"a\":1} trailing"), std::invalid_argument);
     EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
     EXPECT_THROW(JsonValue::parse("\"unterminated"), std::invalid_argument);
+    // Numbers follow JSON's grammar exactly; no prefix of a malformed token
+    // is accepted.
+    for (const char* bad : {"1.2.3", "1e", "1-2", "1..2", "2-", "+1", "01", ".5", "[1.]",
+                            "{\"a\": 1.2.3}", "-", "1e+"}) {
+        EXPECT_THROW(JsonValue::parse(bad), std::invalid_argument) << bad;
+    }
+    EXPECT_THROW(JsonValue::parse("1e999"), std::invalid_argument);  // overflows a double
+    EXPECT_EQ(JsonValue::parse("0").as_uint(), 0u);
+    EXPECT_EQ(JsonValue::parse("-0.5e-3").as_number(), -0.5e-3);
+    EXPECT_EQ(JsonValue::parse("1E+2").as_number(), 100.0);
 }
 
 TEST(Json, AccessorsThrowOnKindMismatch) {
