@@ -25,6 +25,7 @@
 // outcomes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -107,6 +108,24 @@ struct UploadOutcome {
     double simulated_seconds = 0.0; ///< backoff time accrued before success/give-up
 };
 
+/// The plan purposes a thread memoizes round links for (cell_stream), one
+/// per plan kind and purpose: a device's cells alternate between purposes
+/// within a round, so each keeps its own slot.
+enum class CellLinkSlot : std::uint8_t {
+    kFaultDecision = 0,  ///< FaultPlan::device_faults
+    kFaultUpload,        ///< FaultPlan::upload_outcome
+    kChurnDecision,      ///< ChurnPlan::device_churn
+};
+
+/// The (round, device) cell stream stream.fork(purpose).fork(round)
+/// .fork(device). The (purpose, round) link does not change within a
+/// round, so each thread derives it once per round and slot: the memo is
+/// keyed by the stream's seed, `purpose` and `round`, everything the link
+/// depends on, and keeps the link's seed. The result is bit-identical to
+/// the chained forks in any query order on any thread.
+stats::Rng cell_stream(const stats::Rng& stream, CellLinkSlot slot, std::uint64_t purpose,
+                       std::size_t round, std::size_t device);
+
 /// Seeded schedule of per-round, per-device faults. Copyable; a
 /// default-constructed plan is inactive (never schedules a fault) and
 /// costs one branch per query.
@@ -139,8 +158,6 @@ class FaultPlan {
                                               const DeviceFaultDecision& decision) const;
 
  private:
-    stats::Rng cell_rng(std::uint64_t salt, std::size_t round, std::size_t device) const;
-
     FaultConfig config_;
     stats::Rng stream_{0};
     bool active_ = false;

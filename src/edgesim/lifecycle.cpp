@@ -184,12 +184,6 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
         DREL_PROFILE_SCOPE("lifecycle.device");
         DeviceResult result;
         const DeviceFaultDecision faults = fault_plan.device_faults(round, j);
-        if (faults.straggler) {
-            // Finished past the round deadline: the cloud discards the late
-            // result and the upload window is gone.
-            result.reason = DegradedReason::kStraggler;
-            return result;
-        }
 
         const bool novel_active =
             config.novel_mode_round >= 0 &&

@@ -168,7 +168,9 @@ using BatchScoreFn = std::function<void(
 
 /// Per-device domain logic, supplied by the driver (full EM training for
 /// the lifecycle, cheap prior scoring for the scale bench). `work_rng` is
-/// the device's kWork stream; `ws` is the executing shard's arena.
+/// the device's kWork stream; `ws` is the executing shard's arena. It runs
+/// only for devices that complete: the shard resolves crashed and
+/// straggling cells itself, without calling it.
 using DeviceWork = std::function<DeviceResult(
     std::size_t round, std::size_t device, stats::Rng& work_rng, util::Workspace& ws)>;
 
@@ -193,8 +195,10 @@ class Shard {
 
     /// Computes the slice [layout.begin, layout.end) for `round`: derives
     /// each device's work/latency streams, applies the fault plan, runs
-    /// `work`, writes the SoA slice, and assembles the upload batch
-    /// (sufficient stats always; raw thetas when `keep_thetas`).
+    /// `work` for the devices that neither crash nor straggle, writes the
+    /// SoA slice, and assembles the upload batch (sufficient stats always;
+    /// raw thetas when `keep_thetas`). A crashed or straggling row reads
+    /// kCrashed or kStraggler, unscored and without an upload.
     /// `deadline_seconds` caps healthy latency draws; stragglers land past
     /// it deterministically. Devices whose result sets `defer_score` are
     /// collected and scored by `batch_score` in ONE call after the device

@@ -464,6 +464,96 @@ TEST(FleetEngineChaos, FaultPlanReusedUnchangedAndDeterministic) {
     EXPECT_GT(crashed, 0u);
 }
 
+TEST(FleetEngine, WorkRunsOnlyForDevicesThatComplete) {
+    // The shard resolves crashed and straggling cells itself, so the work
+    // callback runs exactly once for every device that completes and never
+    // for the others. A straggler's row still reads kStraggler, unscored,
+    // without an upload, and with its latency past the deadline.
+    constexpr std::size_t kRounds = 3;
+    constexpr std::size_t kDevices = 200;
+    constexpr std::size_t kDim = 3;
+    const stats::Rng root(2027);
+    const stats::Rng device_root = root.fork(4);
+    const FaultPlan plan(FaultConfig::uniform(0.3), root);
+    // One writer per cell (the shard that owns the device): no races.
+    std::vector<std::vector<std::uint8_t>> calls;
+    const DeviceWork work = [&](std::size_t round, std::size_t device, stats::Rng& work_rng,
+                                util::Workspace& /*ws*/) {
+        ++calls[round][device];
+        return cheap_work(round, device, work_rng, kDim);
+    };
+    const auto completes = [&](std::size_t round, std::size_t device) {
+        const DeviceFaultDecision faults = plan.device_faults(round, device);
+        return !faults.crash && !faults.straggler;
+    };
+
+    // One shard over the whole fleet: the rows themselves.
+    calls.assign(kRounds, std::vector<std::uint8_t>(kDevices, 0));
+    Shard shard(ShardLayout{0, 0, kDevices}, kDim);
+    constexpr double kDeadline = 30.0;
+    std::size_t stragglers = 0;
+    std::size_t crashed = 0;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        RoundSoA soa;
+        soa.resize(kDevices);
+        (void)shard.run_round(round, device_root, plan, work, soa, kDeadline,
+                              /*keep_thetas=*/false);
+        for (std::size_t j = 0; j < kDevices; ++j) {
+            SCOPED_TRACE("round=" + std::to_string(round) + " device=" + std::to_string(j));
+            EXPECT_EQ(calls[round][j], completes(round, j) ? 1 : 0);
+            const DeviceFaultDecision faults = plan.device_faults(round, j);
+            if (faults.crash) {
+                ++crashed;
+                EXPECT_EQ(soa.degraded[j], DegradedReason::kCrashed);
+                EXPECT_EQ(soa.scored[j], 0);
+            } else if (faults.straggler) {
+                ++stragglers;
+                EXPECT_EQ(soa.degraded[j], DegradedReason::kStraggler);
+                EXPECT_EQ(soa.scored[j], 0);
+                EXPECT_EQ(soa.upload_attempts[j], 0);
+                EXPECT_GT(soa.latency_seconds[j], kDeadline);
+            } else {
+                EXPECT_EQ(soa.scored[j], 1);
+                EXPECT_LE(soa.latency_seconds[j], kDeadline);
+            }
+        }
+    }
+    EXPECT_GT(crashed, 0u);
+    EXPECT_GT(stragglers, 0u);
+
+    // The engine keeps the contract at any shard and thread layout.
+    calls.assign(kRounds, std::vector<std::uint8_t>(kDevices, 0));
+    EngineConfig config = small_engine_config();
+    config.rounds = kRounds;
+    config.devices_per_round = kDevices;
+    config.num_shards = 7;
+    config.num_threads = 4;
+    const RoundEndFn round_end = [](std::size_t, CloudServer& server) {
+        (void)server.take_serviced_thetas();
+        RoundEndDecision decision;
+        decision.payload_bytes = 64;
+        decision.prior_components = 2;
+        return decision;
+    };
+    const EngineReport report = run_fleet_engine(config, device_root, plan, work, round_end);
+    ASSERT_EQ(report.rounds.size(), kRounds);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        std::size_t ran = 0;
+        std::size_t round_stragglers = 0;
+        for (std::size_t j = 0; j < kDevices; ++j) {
+            EXPECT_EQ(calls[round][j], completes(round, j) ? 1 : 0);
+            ran += completes(round, j) ? 1 : 0;
+            const DeviceFaultDecision faults = plan.device_faults(round, j);
+            const bool straggled = !faults.crash && faults.straggler;
+            round_stragglers += straggled ? 1 : 0;
+            EXPECT_EQ(report.rounds[round].device_degraded[j] == DegradedReason::kStraggler,
+                      straggled);
+        }
+        EXPECT_EQ(report.rounds[round].devices_scored, ran);
+        EXPECT_EQ(report.rounds[round].stragglers, round_stragglers);
+    }
+}
+
 /// What the work callback returned for one (round, device) cell. Each cell
 /// has exactly one writer (the shard that owns the device), so the table
 /// needs no synchronisation.
@@ -523,26 +613,22 @@ TEST(FleetEngine, RoundTalliesEqualASerialRecount) {
                 result.accuracy = rng.uniform();
                 result.scored = true;
                 const DeviceFaultDecision faults = plan.device_faults(round, device);
-                if (faults.straggler) {
-                    result.reason = DegradedReason::kStraggler;
-                } else {
-                    if (faults.prior_corrupt || faults.link_outage) {
-                        result.reason = DegradedReason::kFallbackLocalErm;
-                    } else if (result.accuracy < 0.1) {
-                        result.reason = DegradedReason::kNonFinite;
-                    }
-                    const UploadOutcome up = plan.upload_outcome(round, device);
-                    result.attempted_upload = true;
-                    result.upload_attempts = up.attempts;
-                    result.upload_retries = up.retries;
-                    result.upload_delivered = up.delivered;
-                    result.upload_garbled = up.garbled;
-                    result.extra_seconds = up.simulated_seconds;
-                    if (!up.delivered && result.reason == DegradedReason::kNone) {
-                        result.reason = DegradedReason::kUploadDropped;
-                    }
-                    result.theta = rng.standard_normal_vector(kDim);
+                if (faults.prior_corrupt || faults.link_outage) {
+                    result.reason = DegradedReason::kFallbackLocalErm;
+                } else if (result.accuracy < 0.1) {
+                    result.reason = DegradedReason::kNonFinite;
                 }
+                const UploadOutcome up = plan.upload_outcome(round, device);
+                result.attempted_upload = true;
+                result.upload_attempts = up.attempts;
+                result.upload_retries = up.retries;
+                result.upload_delivered = up.delivered;
+                result.upload_garbled = up.garbled;
+                result.extra_seconds = up.simulated_seconds;
+                if (!up.delivered && result.reason == DegradedReason::kNone) {
+                    result.reason = DegradedReason::kUploadDropped;
+                }
+                result.theta = rng.standard_normal_vector(kDim);
                 records[round][device] = {true, result.scored, result.upload_attempts,
                                           result.upload_retries, result.upload_delivered,
                                           result.upload_garbled};
@@ -618,9 +704,11 @@ TEST(FleetEngine, RoundTalliesEqualASerialRecount) {
                 // rejoiner resumed on an old broadcast.
                 EXPECT_EQ(stats.stale_priors,
                           members.at(r, idx(health::MembershipCol::kRejoinsStale)));
-                // Members that crashed never reach the work callback.
+                // Members that crashed or straggled never reach the work
+                // callback.
                 EXPECT_EQ(members.at(r, idx(health::MembershipCol::kParticipating)),
-                          ran + count(DegradedReason::kCrashed));
+                          ran + count(DegradedReason::kCrashed) +
+                              count(DegradedReason::kStraggler));
                 for (std::size_t reason = 0; reason < kReasons; ++reason) {
                     reason_totals[reason] += reasons[reason];
                 }
