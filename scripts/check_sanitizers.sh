@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
-# Builds and runs the concurrency and chaos tests under ThreadSanitizer and
-# AddressSanitizer (the DREL_SANITIZE CMake option). Part of the verify
+# Builds and runs the concurrency and chaos tests under ThreadSanitizer,
+# AddressSanitizer and UndefinedBehaviorSanitizer (the DREL_SANITIZE CMake
+# option). Part of the verify
 # flow for any change to util/thread_pool, util/executor, or code running
 # on the shared executor (fleet simulation, EM multi-start, collaborative),
 # and for the fault-injection layer (test_faults): the chaos suite drives
 # the degraded paths the healthy tests never touch, so memory/race bugs on
 # those paths only surface here.
 #
-# Both sanitizer suites always run: a ThreadSanitizer failure no longer
-# short-circuits the AddressSanitizer pass. The script exits non-zero if
-# EITHER suite failed.
+# All three sanitizer suites always run: a failure in one pass never
+# short-circuits the next. The script exits non-zero if ANY suite failed.
+#
+# The undefined-behaviour pass builds and filters exactly what the other
+# two do. It aborts on the first report (-fno-sanitize-recover), so a shift
+# past the width of its operand, a signed overflow or a misaligned load
+# fails the case that reached it instead of printing and carrying on.
 #
 # The SIMD dispatch and sampling-statistics suites (test_simd_dispatch,
-# test_sampling_stats) ride in both sanitizer builds: the dispatch layer's
+# test_sampling_stats) ride in every sanitizer build: the dispatch layer's
 # scoped-override atomics are TSan territory, and the alias-table build
 # indexes worklists ASan should watch.
 #
@@ -22,17 +27,21 @@
 # fan out — exactly the write/read boundary TSan must bless.
 #
 # The membership/churn suite (test_membership, test_membership_stats) is in
-# both builds as well: shards read the driver-owned participation mask while
-# fanned out, and Dead-slot skipping changes which SoA rows each thread
-# touches — precisely the sharing pattern the sanitizers must bless.
+# every build as well: shards read the driver-owned participation mask while
+# fanned out, Dead-slot skipping changes which SoA rows each thread
+# touches, and the heartbeat fold, the rejoin overlay and the admission
+# scan run per shard slice on the executor — precisely the sharing pattern
+# the sanitizers must bless. The fault and churn cells keep their round
+# links in per-thread memo slots (FaultPlan.CellStreamsPinned and
+# ChurnPlanTest.CellStreamsPinned query them from four threads).
 #
 # The streaming-posterior and wire-v2 suites (test_streaming_posterior,
-# test_transfer_v2) ride in both builds too: the merge/fold property tests
+# test_transfer_v2) ride in every build too: the merge/fold property tests
 # exercise the fixed-point SuffStats accumulators over arbitrary partition
 # trees, and the v2 decoders parse attacker-shaped buffers with bit-packed
 # reads — buffer arithmetic ASan exists to falsify.
 #
-# The optimizer and DP suites (test_optim, test_dp) ride in both builds,
+# The optimizer and DP suites (test_optim, test_dp) ride in every build,
 # with the golden-metrics suite (test_golden_metrics) that drives them end
 # to end: the Gibbs sampler indexes flat row-major arrays of whitened
 # observations, cluster sums and cluster means by raw pointer, copying the
@@ -45,7 +54,7 @@
 # into a grown row; test_linalg holds EigenSym, the Jacobi solver that
 # builds the whitening basis.
 #
-# The data and models suites (test_data, test_models) ride in both builds:
+# The data and models suites (test_data, test_models) ride in every build:
 # TaskPopulation::generate draws each sample straight into its dataset row
 # and the metrics score rows through raw pointers, and the same suites'
 # pins (TaskPopulation.GeneratePinned) and metric cases (Metrics.*) drive
@@ -54,10 +63,10 @@
 # buffers; both already run here through test_dp and test_optim.
 #
 # The phase profiler suite (test_profiler) and the trace test in test_obs
-# ride in both builds: with tracing on, every frame that closes on a pool
+# ride in every build: with tracing on, every frame that closes on a pool
 # worker appends to the profiler's shared trace buffer, and the executor
 # hands each runner the submitting thread's phase path — cross-thread
-# writes and hand-offs both sanitizers must bless.
+# writes and hand-offs the thread and address sanitizers must bless.
 #
 # Usage: scripts/check_sanitizers.sh [jobs]
 set -euo pipefail
@@ -66,7 +75,7 @@ cd "$(dirname "$0")/.."
 jobs="${1:-$(nproc)}"
 
 failed=()
-for sanitizer in thread address; do
+for sanitizer in thread address undefined; do
     build_dir="build-${sanitizer}san"
     echo "=== ${sanitizer} sanitizer ==="
     cmake -B "${build_dir}" -S . -DDREL_SANITIZE="${sanitizer}" \
