@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "data/task_generator.hpp"
 #include "edgesim/cloud.hpp"
@@ -78,6 +83,126 @@ TEST(Transfer, EncodedSizeFormulaMatchesAllFlagCombos) {
                 << "f32=" << f32 << " diag=" << diag;
         }
     }
+}
+
+/// Atom k of the pinned priors, built by exact arithmetic (no RNG, no libm):
+/// a k-dependent mean and a diagonally dominant tridiagonal covariance.
+stats::MultivariateNormal pin_atom(std::size_t k, std::size_t dim) {
+    const double kd = static_cast<double>(k);
+    linalg::Vector mean(dim);
+    linalg::Matrix cov(dim, dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+        const double id = static_cast<double>(i);
+        mean[i] = 0.3 * (kd + 1.0) - 0.7 * id + 0.01 * kd * id;
+        cov(i, i) = 0.5 + 0.25 * kd;
+        if (i + 1 < dim) {
+            const double off = 0.01 * static_cast<double>((i + 2 * k) % 5 + 1);
+            cov(i, i + 1) = off;
+            cov(i + 1, i) = off;
+        }
+    }
+    return stats::MultivariateNormal(std::move(mean), std::move(cov));
+}
+
+/// K atoms with dyadic weights 1/2, 1/4, ..., 1/2^(K-1), 1/2^(K-1): they sum
+/// to exactly 1.0, so normalisation leaves every weight bit-identical.
+dp::MixturePrior pin_prior(std::size_t num_components, std::size_t dim) {
+    linalg::Vector weights(num_components);
+    std::vector<stats::MultivariateNormal> atoms;
+    for (std::size_t k = 0; k < num_components; ++k) {
+        weights[k] = std::ldexp(1.0, -static_cast<int>(std::min(k + 1, num_components - 1)));
+        atoms.push_back(pin_atom(k, dim));
+    }
+    return dp::MixturePrior(std::move(weights), std::move(atoms));
+}
+
+/// The broadcast after `base`: even atoms move, odd atoms stay bit-identical
+/// (presence byte 0), and a fresh atom K takes half of atom 0's weight.
+dp::MixturePrior pin_successor(const dp::MixturePrior& base) {
+    linalg::Vector weights = base.weights();
+    std::vector<stats::MultivariateNormal> atoms = base.atoms();
+    for (std::size_t k = 0; k < atoms.size(); k += 2) {
+        linalg::Vector mean = atoms[k].mean();
+        for (double& m : mean) m += 0.375;
+        linalg::Matrix cov = atoms[k].covariance();
+        cov.add_diagonal(0.0625);
+        atoms[k] = stats::MultivariateNormal(std::move(mean), std::move(cov));
+    }
+    weights[0] *= 0.5;
+    weights.push_back(weights[0]);
+    atoms.push_back(pin_atom(atoms.size(), base.dim()));
+    return dp::MixturePrior(std::move(weights), std::move(atoms));
+}
+
+// Pins the frame bytes of every wire option validate() accepts: version,
+// float32, diagonal, quantized (5 bits, so codes straddle bytes) and delta.
+// Round trips and sizes would not notice a reordered or dropped header
+// field; these digests do. Delta frames encode a (K+1)-atom successor
+// against the K-atom base, so they carry both presence values and a fresh
+// atom; every other frame encodes the base and must match encoded_size.
+TEST(Transfer, FramesPinned) {
+    struct Case {
+        std::size_t num_components;
+        std::size_t dim;
+        const char* digest;
+    };
+    const Case cases[] = {
+        {1, 1, "09bd71ed04d55e7d"}, {1, 4, "69ebe07217c4670b"}, {1, 8, "f99ce5e55976a3b8"},
+        {3, 1, "be5ba17c0f51db3b"}, {3, 4, "65b0d35f1f18d7a5"}, {3, 8, "3c727afd6076a8d1"},
+        {6, 1, "d9b3bdeae07dd9e9"}, {6, 4, "4a8083c6e99c5477"}, {6, 8, "f34d23f0adab1e6f"},
+    };
+    std::size_t frames = 0;
+    for (const Case& c : cases) {
+        const dp::MixturePrior base_prior = pin_prior(c.num_components, c.dim);
+        const dp::MixturePrior successor = pin_successor(base_prior);
+        const PriorBase base{&base_prior, 6};
+        std::uint64_t hash = 0xcbf29ce484222325ULL;
+        const auto mix = [&hash](std::uint64_t byte) {
+            hash ^= byte;
+            hash *= 0x100000001b3ULL;
+        };
+        for (const std::uint32_t version : {kWireV1, kWireV2}) {
+            for (const bool f32 : {false, true}) {
+                for (const bool diag : {false, true}) {
+                    for (const bool quantized : {false, true}) {
+                        for (const bool delta : {false, true}) {
+                            EncodingOptions options;
+                            options.version = version;
+                            options.use_float32 = f32;
+                            options.diagonal_only = diag;
+                            options.quantized = quantized;
+                            options.quantization_bits = 5;
+                            options.delta = delta;
+                            options.prior_version = 7;
+                            try {
+                                options.validate();
+                            } catch (const std::invalid_argument&) {
+                                continue;
+                            }
+                            const std::vector<std::uint8_t> frame =
+                                delta ? encode_prior(successor, options, &base)
+                                      : encode_prior(base_prior, options);
+                            if (!delta) {
+                                EXPECT_EQ(frame.size(),
+                                          encoded_size(c.num_components, c.dim, options))
+                                    << "K=" << c.num_components << " d=" << c.dim
+                                    << " v=" << version << " f32=" << f32
+                                    << " diag=" << diag << " quantized=" << quantized;
+                            }
+                            for (int b = 0; b < 8; ++b) mix((frame.size() >> (8 * b)) & 0xffU);
+                            for (const std::uint8_t byte : frame) mix(byte);
+                            ++frames;
+                        }
+                    }
+                }
+            }
+        }
+        char digest[32];
+        std::snprintf(digest, sizeof(digest), "%016llx", static_cast<unsigned long long>(hash));
+        EXPECT_EQ(std::string(digest), c.digest) << "K=" << c.num_components << " d=" << c.dim;
+    }
+    // 4 v1 combinations and 12 v2 ones (quantized excludes float32).
+    EXPECT_EQ(frames, 9u * 16u);
 }
 
 TEST(Transfer, RejectsCorruptedBuffers) {
