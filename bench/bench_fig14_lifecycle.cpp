@@ -48,7 +48,7 @@ int main() {
         for (const bool feedback : {true, false}) {
             config.feedback = feedback;
             stats::Rng rng(4200 + s);
-            const edgesim::LifecycleReport report = edgesim::run_lifecycle(config, rng);
+            const edgesim::EngineReport report = edgesim::run_lifecycle(config, rng);
             World& world = feedback ? fed : frozen;
             for (std::size_t r = 0; r < rounds; ++r) {
                 world.mean_acc[r].push(report.rounds[r].mean_accuracy);

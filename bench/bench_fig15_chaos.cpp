@@ -57,7 +57,7 @@ int main() {
         lc_config.learner.em.max_outer_iterations = 10;
         lc_config.faults = edgesim::FaultConfig::uniform(rate);
         stats::Rng lc_rng(1600);
-        const edgesim::LifecycleReport lifecycle =
+        const edgesim::EngineReport lifecycle =
             edgesim::run_lifecycle(lc_config, lc_rng);
 
         stats::RunningStats lc_acc;

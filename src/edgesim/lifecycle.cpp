@@ -1,10 +1,8 @@
 #include "edgesim/lifecycle.hpp"
 
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "data/task_generator.hpp"
@@ -38,27 +36,14 @@ data::TaskPopulation population_with_modes(const std::vector<data::ParameterMode
     return data::TaskPopulation(std::vector<data::ParameterMode>(modes));
 }
 
-/// DREL_CLOUD_REFIT=batch|streaming overrides the configured refit mode
-/// (the CI streaming leg replays the fleet suite this way). An unknown
-/// value throws rather than silently running the wrong mode.
-CloudRefitMode resolve_refit_mode(CloudRefitMode configured) {
-    const char* env = std::getenv("DREL_CLOUD_REFIT");
-    if (env == nullptr || *env == '\0') return configured;
-    const std::string value(env);
-    if (value == "batch") return CloudRefitMode::kBatch;
-    if (value == "streaming") return CloudRefitMode::kStreaming;
-    throw std::invalid_argument("DREL_CLOUD_REFIT must be 'batch' or 'streaming', got '" +
-                                value + "'");
-}
-
 }  // namespace
 
-LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
+EngineReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
     config.faults.validate();
     if (config.rounds == 0 || config.devices_per_round == 0) {
         // Nothing to simulate: a valid, empty report (no rounds, no bytes)
         // rather than an error — degenerate sweeps must not abort a bench.
-        return LifecycleReport{};
+        return EngineReport{};
     }
     if (config.initial_contributors < 2) {
         throw std::invalid_argument("run_lifecycle: need >= 2 initial contributors");
@@ -125,9 +110,8 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
     // the first extract resembles the Gibbs broadcast. Batch mode
     // constructs nothing here and keeps the historical per-upload Gibbs
     // refresh bit for bit.
-    const CloudRefitMode refit_mode = resolve_refit_mode(config.refit_mode);
     std::optional<dp::StreamingVb> streaming;
-    if (refit_mode == CloudRefitMode::kStreaming) {
+    if (config.refit_mode == CloudRefitMode::kStreaming) {
         dp::StreamingVbConfig svb;
         svb.alpha = config.dp_alpha;
         svb.base_mean = dpmm.base_mean;
@@ -325,40 +309,13 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
         return decision;
     };
 
-    EngineReport engine_report = run_fleet_engine(engine, device_root, fault_plan, work,
-                                                  round_end, nullptr, &churn_plan);
-
-    // --- Map the engine report onto the lifecycle's historical shape. ---
-    LifecycleReport report;
-    report.total_broadcast_bytes = engine_report.total_broadcast_bytes;
-    report.total_upload_bytes = engine_report.total_upload_bytes;
-    report.total_upload_retries = engine_report.total_upload_retries;
-    report.telemetry = std::move(engine_report.telemetry);
-    report.rounds.reserve(engine_report.rounds.size());
-    for (const EngineRoundStats& stats : engine_report.rounds) {
+    EngineReport report = run_fleet_engine(engine, device_root, fault_plan, work, round_end,
+                                           nullptr, &churn_plan);
+    for (EngineRoundStats& stats : report.rounds) {
         rounds_count.add(1);
         broadcast_bytes.add(stats.broadcast_bytes);
-        LifecycleRound round;
-        round.round = stats.round;
-        round.mean_accuracy = stats.mean_accuracy;
-        round.novel_mode_accuracy = stats.novel_mode_accuracy;
-        round.prior_components = stats.prior_components;
-        round.rebroadcast = stats.round == 0 ? true : stats.rebroadcast;  // initial push
-        round.broadcast_bytes = stats.broadcast_bytes;
-        round.devices_scored = stats.devices_scored;
-        round.crashed = stats.crashed;
-        round.stragglers = stats.stragglers;
-        round.fallbacks = stats.fallbacks;
-        round.stale_priors = stats.stale_priors;
-        round.uploads_dropped = stats.uploads_dropped;
-        round.uploads_garbled = stats.uploads_garbled;
-        round.backpressure_rejected = stats.backpressure_rejected;
-        round.latency_p50_seconds = stats.latency_p50_seconds;
-        round.latency_p99_seconds = stats.latency_p99_seconds;
-        round.latency_max_seconds = stats.latency_max_seconds;
-        round.device_degraded = stats.device_degraded;
-        if (round.rebroadcast) rebroadcasts.add(1);
-        report.rounds.push_back(std::move(round));
+        if (stats.round == 0) stats.rebroadcast = true;  // the bootstrap push
+        if (stats.rebroadcast) rebroadcasts.add(1);
     }
     return report;
 }

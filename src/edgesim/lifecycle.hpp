@@ -19,8 +19,6 @@
 // num_threads / num_shards setting.
 #pragma once
 
-#include <vector>
-
 #include "core/edge_learner.hpp"
 #include "edgesim/cloud.hpp"
 #include "edgesim/faults.hpp"
@@ -78,10 +76,7 @@ struct LifecycleConfig {
     double rebroadcast_kl_threshold = 0.05;
     std::size_t kl_samples = 200;
 
-    /// Cloud posterior refresh mode (batch Gibbs vs streaming VB). The
-    /// DREL_CLOUD_REFIT env var ("batch" | "streaming") overrides the
-    /// configured mode — the CI leg that replays the fleet suite under
-    /// streaming uses it.
+    /// Cloud posterior refresh mode (batch Gibbs vs streaming VB).
     CloudRefitMode refit_mode = CloudRefitMode::kBatch;
 
     /// Wire options for prior broadcasts. The default (v1, full fidelity)
@@ -114,48 +109,16 @@ struct LifecycleConfig {
     MembershipConfig membership;
 };
 
-struct LifecycleRound {
-    std::size_t round = 0;
-    double mean_accuracy = 0.0;
-    /// Mean accuracy over this round's novel-type devices; -1 if none.
-    double novel_mode_accuracy = -1.0;
-    std::size_t prior_components = 0;
-    bool rebroadcast = false;
-    std::size_t broadcast_bytes = 0;   ///< bytes charged to the broadcast budget this round
+/// perfbench's lifecycle workload is the only reader of these two names;
+/// everything else reads the engine's report types directly.
+using LifecycleRound = EngineRoundStats;
+using LifecycleReport = EngineReport;
 
-    // Fault accounting (all zero in a fault-free run).
-    std::size_t devices_scored = 0;    ///< completed in time; counted in mean_accuracy
-    std::size_t crashed = 0;
-    std::size_t stragglers = 0;        ///< finished past the deadline; result discarded
-    std::size_t fallbacks = 0;         ///< no usable prior; ran local-only ERM
-    std::size_t stale_priors = 0;
-    std::size_t uploads_dropped = 0;   ///< retries exhausted or deadline passed
-    std::size_t uploads_garbled = 0;   ///< delivered non-finite; rejected by the cloud
-    std::size_t backpressure_rejected = 0;  ///< uploads lost to a full admission queue
-
-    // Virtual completion-latency tail across the round's fleet.
-    double latency_p50_seconds = 0.0;
-    double latency_p99_seconds = 0.0;
-    double latency_max_seconds = 0.0;
-
-    /// Per-device outcome, indexed by the device's slot within this round.
-    std::vector<DegradedReason> device_degraded;
-};
-
-struct LifecycleReport {
-    std::vector<LifecycleRound> rounds;
-    std::size_t total_broadcast_bytes = 0;
-    std::size_t total_upload_bytes = 0;     ///< device -> cloud theta uploads (on-air)
-    std::size_t total_upload_retries = 0;   ///< re-transmissions across all rounds
-
-    /// Fleet health telemetry forwarded from the engine (see
-    /// EngineReport::telemetry); empty when the run simulated nothing.
-    health::FleetTelemetry telemetry;
-};
-
-/// Runs the closed loop. `rounds == 0` or `devices_per_round == 0` is a
-/// valid "nothing to simulate" request and yields an empty report (no
-/// rounds, zero bytes) rather than an error.
-LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng);
+/// Runs the closed loop and returns the engine's report. Round 0 always
+/// reads `rebroadcast == true`: the bootstrap push reached that round's
+/// fleet. `rounds == 0` or `devices_per_round == 0` is a valid "nothing to
+/// simulate" request and yields an empty report (no rounds, zero bytes)
+/// rather than an error.
+EngineReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng);
 
 }  // namespace drel::edgesim

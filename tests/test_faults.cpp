@@ -498,8 +498,9 @@ TEST(FleetChaos, EnablingFaultsNeverPerturbsHealthyDevices) {
 }
 
 // -------------------------------------------------------- lifecycle chaos
+// Every case runs under both cloud refit modes.
 
-LifecycleConfig chaos_lifecycle_config() {
+LifecycleConfig chaos_lifecycle_config(CloudRefitMode refit_mode) {
     LifecycleConfig config;
     config.feature_dim = 5;
     config.initial_modes = 2;
@@ -512,97 +513,108 @@ LifecycleConfig chaos_lifecycle_config() {
     config.gibbs_sweeps = 30;
     config.novel_mode_round = 1;
     config.learner.em.max_outer_iterations = 8;
+    config.refit_mode = refit_mode;
     return config;
 }
 
 TEST(LifecycleChaos, FullFaultRateNeverThrows) {
-    LifecycleConfig config = chaos_lifecycle_config();
-    config.faults = FaultConfig::uniform(1.0);
-    stats::Rng rng(211);
-    LifecycleReport report;
-    ASSERT_NO_THROW(report = run_lifecycle(config, rng));
-    ASSERT_EQ(report.rounds.size(), config.rounds);
-    for (const auto& round : report.rounds) {
-        // crash_prob = 1: every device dies; nothing is scored or uploaded.
-        EXPECT_EQ(round.crashed, config.devices_per_round);
-        EXPECT_EQ(round.devices_scored, 0u);
-        ASSERT_EQ(round.device_degraded.size(), config.devices_per_round);
-        for (const DegradedReason reason : round.device_degraded) {
-            EXPECT_EQ(reason, DegradedReason::kCrashed);
+    test_support::for_each_refit_mode([](CloudRefitMode mode) {
+        LifecycleConfig config = chaos_lifecycle_config(mode);
+        config.faults = FaultConfig::uniform(1.0);
+        stats::Rng rng(211);
+        EngineReport report;
+        ASSERT_NO_THROW(report = run_lifecycle(config, rng));
+        ASSERT_EQ(report.rounds.size(), config.rounds);
+        for (const auto& round : report.rounds) {
+            // crash_prob = 1: every device dies; nothing is scored or uploaded.
+            EXPECT_EQ(round.crashed, config.devices_per_round);
+            EXPECT_EQ(round.devices_scored, 0u);
+            ASSERT_EQ(round.device_degraded.size(), config.devices_per_round);
+            for (const DegradedReason reason : round.device_degraded) {
+                EXPECT_EQ(reason, DegradedReason::kCrashed);
+            }
         }
-    }
-    EXPECT_EQ(report.total_upload_bytes, 0u);
+        EXPECT_EQ(report.total_upload_bytes, 0u);
+    });
 }
 
 TEST(LifecycleChaos, DroppedUploadsAreSkippedNotFatal) {
-    LifecycleConfig config = chaos_lifecycle_config();
-    config.faults.upload_fail_prob = 1.0;   // retries always exhaust
-    stats::Rng rng(223);
-    LifecycleReport report;
-    ASSERT_NO_THROW(report = run_lifecycle(config, rng));
-    std::size_t dropped = 0;
-    for (const auto& round : report.rounds) {
-        dropped += round.uploads_dropped;
-        EXPECT_EQ(round.devices_scored, config.devices_per_round);
-        for (const DegradedReason reason : round.device_degraded) {
-            EXPECT_EQ(reason, DegradedReason::kUploadDropped);
+    test_support::for_each_refit_mode([](CloudRefitMode mode) {
+        LifecycleConfig config = chaos_lifecycle_config(mode);
+        config.faults.upload_fail_prob = 1.0;   // retries always exhaust
+        stats::Rng rng(223);
+        EngineReport report;
+        ASSERT_NO_THROW(report = run_lifecycle(config, rng));
+        std::size_t dropped = 0;
+        for (const auto& round : report.rounds) {
+            dropped += round.uploads_dropped;
+            EXPECT_EQ(round.devices_scored, config.devices_per_round);
+            for (const DegradedReason reason : round.device_degraded) {
+                EXPECT_EQ(reason, DegradedReason::kUploadDropped);
+            }
+            // No upload ever lands, so the prior never drifts: no re-push
+            // after the initial round-0 broadcast.
+            if (round.round > 0) {
+                EXPECT_FALSE(round.rebroadcast);
+            }
         }
-        // No upload ever lands, so the prior never drifts: no re-push after
-        // the initial round-0 broadcast.
-        if (round.round > 0) {
-            EXPECT_FALSE(round.rebroadcast);
-        }
-    }
-    EXPECT_EQ(dropped, config.rounds * config.devices_per_round);
-    EXPECT_GT(report.total_upload_retries, 0u);
-    // On-air bytes count every attempt, not just deliveries.
-    EXPECT_GT(report.total_upload_bytes, 0u);
+        EXPECT_EQ(dropped, config.rounds * config.devices_per_round);
+        EXPECT_GT(report.total_upload_retries, 0u);
+        // On-air bytes count every attempt, not just deliveries.
+        EXPECT_GT(report.total_upload_bytes, 0u);
+    });
 }
 
 TEST(LifecycleChaos, GarbledUploadsAreRejectedByTheCloudGuard) {
-    LifecycleConfig config = chaos_lifecycle_config();
-    config.faults.upload_garble_prob = 1.0;   // delivered, but non-finite
-    stats::Rng rng(227);
-    LifecycleReport report;
-    ASSERT_NO_THROW(report = run_lifecycle(config, rng));
-    std::size_t garbled = 0;
-    for (const auto& round : report.rounds) garbled += round.uploads_garbled;
-    EXPECT_EQ(garbled, config.rounds * config.devices_per_round);
-    for (const auto& round : report.rounds) {
-        if (round.round > 0) {
-            EXPECT_FALSE(round.rebroadcast);
+    test_support::for_each_refit_mode([](CloudRefitMode mode) {
+        LifecycleConfig config = chaos_lifecycle_config(mode);
+        config.faults.upload_garble_prob = 1.0;   // delivered, but non-finite
+        stats::Rng rng(227);
+        EngineReport report;
+        ASSERT_NO_THROW(report = run_lifecycle(config, rng));
+        std::size_t garbled = 0;
+        for (const auto& round : report.rounds) garbled += round.uploads_garbled;
+        EXPECT_EQ(garbled, config.rounds * config.devices_per_round);
+        for (const auto& round : report.rounds) {
+            if (round.round > 0) {
+                EXPECT_FALSE(round.rebroadcast);
+            }
         }
-    }
+    });
 }
 
 TEST(LifecycleChaos, ModerateChaosIsDeterministicPerSeed) {
-    LifecycleConfig config = chaos_lifecycle_config();
-    config.faults = FaultConfig::uniform(0.4);
-    stats::Rng rng_a(229);
-    stats::Rng rng_b(229);
-    const LifecycleReport a = run_lifecycle(config, rng_a);
-    const LifecycleReport b = run_lifecycle(config, rng_b);
-    ASSERT_EQ(a.rounds.size(), b.rounds.size());
-    EXPECT_EQ(a.total_upload_bytes, b.total_upload_bytes);
-    EXPECT_EQ(a.total_upload_retries, b.total_upload_retries);
-    for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-        EXPECT_TRUE(bits_equal(a.rounds[r].mean_accuracy, b.rounds[r].mean_accuracy));
-        EXPECT_EQ(a.rounds[r].device_degraded, b.rounds[r].device_degraded);
-        EXPECT_EQ(a.rounds[r].crashed, b.rounds[r].crashed);
-        EXPECT_EQ(a.rounds[r].uploads_dropped, b.rounds[r].uploads_dropped);
-    }
+    test_support::for_each_refit_mode([](CloudRefitMode mode) {
+        LifecycleConfig config = chaos_lifecycle_config(mode);
+        config.faults = FaultConfig::uniform(0.4);
+        stats::Rng rng_a(229);
+        stats::Rng rng_b(229);
+        const EngineReport a = run_lifecycle(config, rng_a);
+        const EngineReport b = run_lifecycle(config, rng_b);
+        ASSERT_EQ(a.rounds.size(), b.rounds.size());
+        EXPECT_EQ(a.total_upload_bytes, b.total_upload_bytes);
+        EXPECT_EQ(a.total_upload_retries, b.total_upload_retries);
+        for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+            EXPECT_TRUE(bits_equal(a.rounds[r].mean_accuracy, b.rounds[r].mean_accuracy));
+            EXPECT_EQ(a.rounds[r].device_degraded, b.rounds[r].device_degraded);
+            EXPECT_EQ(a.rounds[r].crashed, b.rounds[r].crashed);
+            EXPECT_EQ(a.rounds[r].uploads_dropped, b.rounds[r].uploads_dropped);
+        }
+    });
 }
 
 TEST(LifecycleChaos, StalePriorDevicesStillScore) {
-    LifecycleConfig config = chaos_lifecycle_config();
-    config.faults.prior_stale_prob = 1.0;
-    stats::Rng rng(233);
-    const LifecycleReport report = run_lifecycle(config, rng);
-    for (const auto& round : report.rounds) {
-        EXPECT_EQ(round.stale_priors, config.devices_per_round);
-        EXPECT_EQ(round.devices_scored, config.devices_per_round);
-        EXPECT_GT(round.mean_accuracy, 0.0);
-    }
+    test_support::for_each_refit_mode([](CloudRefitMode mode) {
+        LifecycleConfig config = chaos_lifecycle_config(mode);
+        config.faults.prior_stale_prob = 1.0;
+        stats::Rng rng(233);
+        const EngineReport report = run_lifecycle(config, rng);
+        for (const auto& round : report.rounds) {
+            EXPECT_EQ(round.stale_priors, config.devices_per_round);
+            EXPECT_EQ(round.devices_scored, config.devices_per_round);
+            EXPECT_GT(round.mean_accuracy, 0.0);
+        }
+    });
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,29 +100,6 @@ void check_text_against_golden(const std::string& name, const std::string& actua
 void check_against_golden(const std::string& name) {
     check_text_against_golden(name, obs::Registry::global().deterministic_json());
 }
-
-/// Sets DREL_CLOUD_REFIT for one scope and restores the previous value, so
-/// a golden that names its refit mode runs that mode under every CI leg.
-class ScopedCloudRefit {
- public:
-    explicit ScopedCloudRefit(const char* mode) {
-        if (const char* previous = std::getenv(kVar)) previous_ = previous;
-        ::setenv(kVar, mode, 1);
-    }
-    ~ScopedCloudRefit() {
-        if (previous_) {
-            ::setenv(kVar, previous_->c_str(), 1);
-        } else {
-            ::unsetenv(kVar);
-        }
-    }
-    ScopedCloudRefit(const ScopedCloudRefit&) = delete;
-    ScopedCloudRefit& operator=(const ScopedCloudRefit&) = delete;
-
- private:
-    static constexpr const char* kVar = "DREL_CLOUD_REFIT";
-    std::optional<std::string> previous_;
-};
 
 class GoldenMetrics : public ::testing::Test {
  protected:
@@ -245,7 +221,7 @@ TEST_F(GoldenMetrics, FleetStreamingSmall) {
         config.num_threads = num_threads;
         config.num_shards = num_shards;
         stats::Rng rng(4242);
-        const edgesim::LifecycleReport report = edgesim::run_lifecycle(config, rng);
+        const edgesim::EngineReport report = edgesim::run_lifecycle(config, rng);
 
         obs::JsonValue::Array rounds_json;
         for (const auto& round : report.rounds) {
@@ -292,11 +268,9 @@ TEST_F(GoldenMetrics, FleetStreamingSmall) {
 // broadcast prior. No other golden runs that refresh, so this pins the
 // paper path's report end to end — accuracies as raw f64 bit patterns,
 // rebroadcast decisions, prior sizes, bytes and per-round outcomes. The
-// refit mode is pinned to batch for the test (the streaming CI leg would
-// otherwise override it), and the same bytes must come back at any thread
-// or shard count before the golden is compared.
+// same bytes must come back at any thread or shard count before the
+// golden is compared.
 TEST_F(GoldenMetrics, LifecycleBatchSmall) {
-    const ScopedCloudRefit batch_refit("batch");
     const auto lifecycle_json = [](std::size_t num_threads, std::size_t num_shards) {
         edgesim::LifecycleConfig config;
         config.feature_dim = 5;
@@ -314,13 +288,13 @@ TEST_F(GoldenMetrics, LifecycleBatchSmall) {
         config.num_threads = num_threads;
         config.num_shards = num_shards;
         stats::Rng rng(4244);
-        const edgesim::LifecycleReport report = edgesim::run_lifecycle(config, rng);
+        const edgesim::EngineReport report = edgesim::run_lifecycle(config, rng);
 
         const obs::RoundSeries& series = report.telemetry.series;
         const std::size_t upload_bytes_col = series.column_index("upload_bytes");
         obs::JsonValue::Array rounds_json;
         for (std::size_t r = 0; r < report.rounds.size(); ++r) {
-            const edgesim::LifecycleRound& round = report.rounds[r];
+            const edgesim::EngineRoundStats& round = report.rounds[r];
             std::map<std::string, std::uint64_t> reason_counts;
             for (const edgesim::DegradedReason reason : round.device_degraded) {
                 ++reason_counts[edgesim::to_string(reason)];

@@ -16,6 +16,7 @@
 
 #include "data/task_generator.hpp"
 #include "dp/mixture_prior.hpp"
+#include "edgesim/lifecycle.hpp"
 #include "edgesim/simulation.hpp"
 #include "stats/multivariate_normal.hpp"
 #include "stats/rng.hpp"
@@ -167,6 +168,18 @@ inline edgesim::SimulationConfig small_fleet_config() {
     config.learner.em.max_outer_iterations = 8;
     config.run_ensemble = true;
     return config;
+}
+
+/// Runs `body(mode)` once per cloud refit mode: the lifecycle cases must
+/// hold whether the cloud refreshes by batch Gibbs or by streaming VB.
+template <typename Body>
+void for_each_refit_mode(Body&& body) {
+    for (const edgesim::CloudRefitMode mode :
+         {edgesim::CloudRefitMode::kBatch, edgesim::CloudRefitMode::kStreaming}) {
+        SCOPED_TRACE(mode == edgesim::CloudRefitMode::kBatch ? "batch refit"
+                                                             : "streaming refit");
+        body(mode);
+    }
 }
 
 }  // namespace drel::test_support
