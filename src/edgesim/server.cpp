@@ -116,9 +116,6 @@ void EngineConfig::validate() const {
             "EngineConfig: deadline_seconds + uplink_seconds must not exceed round_seconds "
             "(a healthy upload must land before its round closes)");
     }
-    if (flight_recorder_capacity == 0) {
-        throw std::invalid_argument("EngineConfig: flight_recorder_capacity must be >= 1");
-    }
     server.validate();
     membership.validate(devices_per_round, round_seconds);
 }
@@ -137,6 +134,10 @@ namespace {
 
 constexpr std::size_t kNumDegradedReasons =
     static_cast<std::size_t>(DegradedReason::kRejoinStalePrior) + 1;
+
+/// Last-N engine events the flight recorder retains (diagnostics; dumped
+/// when DREL_FLIGHT_RECORDER names a path).
+constexpr std::size_t kFlightRecorderCapacity = 1024;
 
 /// Integer tallies of a closed round. Integer sums are exactly
 /// associative, so slices tallied per shard and merged in shard order equal
@@ -423,7 +424,7 @@ EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& devi
     // series, histograms, and recorder are LOCAL to this run — never
     // registry metrics — so engine runs cannot pollute golden registry
     // snapshots, and every recording site sits on the driver thread.
-    obs::FlightRecorder recorder(config.flight_recorder_capacity);
+    obs::FlightRecorder recorder(kFlightRecorderCapacity);
     obs::Histogram upload_latency(obs::log_spaced_bounds(1, std::uint64_t{1} << 20));
     obs::Histogram service_wait(obs::log_spaced_bounds(1, std::uint64_t{1} << 20));
     CloseScratch close_scratch;
@@ -712,30 +713,20 @@ ScaleFleetReport run_scale_fleet(const ScaleFleetConfig& config, stats::Rng& rng
         means.push_back(std::move(mean));
     }
     const dp::MixturePrior prior(linalg::Vector(num_modes, 1.0), std::move(atoms));
-    // Broadcast byte accounting. The v1 default keeps the historical
-    // encoded_size charge (no encode call, no counter drift for the byte-
-    // stable goldens). v2 options charge real frames: the bootstrap push is
+    // Broadcast byte accounting from real frames: the bootstrap push is
     // full (devices hold no base), and because the oracle prior never moves
-    // in this bench, every delta re-push collapses to header + presence
+    // in this bench, every v2 delta re-push collapses to header + presence
     // bytes — the steady-state cost a converged fleet actually pays.
     config.wire.validate();
-    std::size_t payload_bytes = encoded_size(num_modes, dim, EncodingOptions{});
-    std::size_t rebroadcast_bytes = payload_bytes;
-    if (config.wire.version >= kWireV2 || config.wire.use_float32 ||
-        config.wire.diagonal_only) {
-        EncodingOptions bootstrap_wire = config.wire;
-        bootstrap_wire.delta = false;
-        bootstrap_wire.prior_version = 0;
-        payload_bytes = encode_prior(prior, bootstrap_wire).size();
-        rebroadcast_bytes = payload_bytes;
-        if (config.wire.version >= kWireV2) {
-            EncodingOptions push = config.wire;
-            push.prior_version = 1;
-            const PriorBase base{&prior, 0};
-            rebroadcast_bytes =
-                encode_prior(prior, push, push.delta ? &base : nullptr).size();
-        }
-    }
+    EncodingOptions bootstrap_wire = config.wire;
+    bootstrap_wire.delta = false;
+    bootstrap_wire.prior_version = 0;
+    const std::size_t payload_bytes = encode_prior(prior, bootstrap_wire).size();
+    EncodingOptions push = config.wire;
+    push.prior_version = 1;
+    const PriorBase base{&prior, 0};
+    const std::size_t rebroadcast_bytes =
+        encode_prior(prior, push, push.delta ? &base : nullptr).size();
 
     EngineConfig engine;
     engine.rounds = config.rounds;

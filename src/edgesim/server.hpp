@@ -201,10 +201,6 @@ struct EngineConfig {
     std::size_t initial_broadcast_bytes = 0;
     std::size_t initial_prior_components = 0;
 
-    /// Last-N engine events retained by the flight recorder (diagnostics;
-    /// dumped when DREL_FLIGHT_RECORDER names a path). Must be >= 1.
-    std::size_t flight_recorder_capacity = 1024;
-
     ServerConfig server;
 
     /// Device liveness & churn. The default (no churn, no reserved tail)
@@ -355,10 +351,9 @@ struct ScaleFleetConfig {
     /// enabling churn never perturbs the mode/fault/device draws.
     MembershipConfig membership;
 
-    /// Broadcast wire options. The default (v1) charges the historical
-    /// encoded_size per device; v2 options charge real encoded frames —
+    /// Broadcast wire options. Every option charges real encoded frames:
     /// the bootstrap push is a full frame (nobody holds a base yet), every
-    /// re-push is delta-eligible against it. This is what the bench's
+    /// v2 re-push is delta-eligible against it. This is what the bench's
     /// bytes/device/round column and the bandwidth SLO measure.
     EncodingOptions wire;
 };

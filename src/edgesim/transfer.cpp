@@ -38,13 +38,6 @@ class Writer {
         }
     }
 
-    /// Bulk write for the float64 path: one memcpy per span instead of one
-    /// per scalar. Byte-identical to `count` put(double) calls.
-    void put_doubles(const double* src, std::size_t count) {
-        std::memcpy(buffer_.data() + offset_, src, count * sizeof(double));
-        offset_ += count * sizeof(double);
-    }
-
     void put_bytes(const void* src, std::size_t count) {
         std::memcpy(buffer_.data() + offset_, src, count);
         offset_ += count;
@@ -191,6 +184,22 @@ std::size_t cov_entry_count(std::size_t dim, bool diagonal) {
     return diagonal ? dim : dim * (dim + 1) / 2;
 }
 
+/// magic | version, flags, K, dim | v2: prior_version [base_version]
+/// [quant_bits]. A v1 frame is never delta or quantized (validate()).
+std::size_t header_bytes(const EncodingOptions& options) {
+    std::size_t size = 8 /*magic*/ + 4 * 4 /*version, flags, K, dim*/;
+    if (options.version >= kWireV2) size += 8 /*prior_version*/;
+    if (options.delta) size += 8 /*base_version*/;
+    if (options.quantized) size += 1 /*quant_bits*/;
+    return size;
+}
+
+/// One present atom: weight f64 | mean section | covariance section.
+std::size_t atom_payload_bytes(std::size_t dim, const EncodingOptions& options) {
+    return 8 /*weight*/ + section_bytes(dim, options) +
+           section_bytes(cov_entry_count(dim, options.diagonal_only), options);
+}
+
 bool atom_equals(const dp::MixturePrior& prior, const dp::MixturePrior& base,
                  std::size_t k) {
     if (prior.weights()[k] != base.weights()[k]) return false;
@@ -218,55 +227,13 @@ void count_encode(std::size_t bytes) {
     encoded_bytes.add(bytes);
 }
 
-std::vector<std::uint8_t> encode_prior_v1(const dp::MixturePrior& prior,
-                                          const EncodingOptions& options) {
-    std::vector<std::uint8_t> buffer(
-        encoded_size(prior.num_components(), prior.dim(), options));
-    Writer w(buffer);
-    w.put_bytes(kMagic, sizeof(kMagic));
-    w.put(kWireV1);
-    std::uint32_t flags = 0;
-    if (options.use_float32) flags |= kFlagFloat32;
-    if (options.diagonal_only) flags |= kFlagDiagonalOnly;
-    w.put(flags);
-    w.put(static_cast<std::uint32_t>(prior.num_components()));
-    w.put(static_cast<std::uint32_t>(prior.dim()));
+}  // namespace
 
-    const std::size_t d = prior.dim();
-    for (std::size_t k = 0; k < prior.num_components(); ++k) {
-        w.put(prior.weights()[k]);
-        const auto& atom = prior.atom(k);
-        const linalg::Matrix& cov = atom.covariance();
-        if (options.use_float32) {
-            for (std::size_t i = 0; i < d; ++i) w.put_scalar(atom.mean()[i], true);
-            if (options.diagonal_only) {
-                for (std::size_t i = 0; i < d; ++i) w.put_scalar(cov(i, i), true);
-            } else {
-                for (std::size_t r = 0; r < d; ++r) {
-                    for (std::size_t c = 0; c <= r; ++c) w.put_scalar(cov(r, c), true);
-                }
-            }
-        } else {
-            // float64: the mean and each lower-triangle row prefix are
-            // contiguous in memory — write them as spans.
-            w.put_doubles(atom.mean().data(), d);
-            if (options.diagonal_only) {
-                for (std::size_t i = 0; i < d; ++i) w.put(cov(i, i));
-            } else {
-                for (std::size_t r = 0; r < d; ++r) w.put_doubles(cov.row_data(r), r + 1);
-            }
-        }
-    }
-    if (w.offset() != buffer.size()) {
-        throw std::logic_error("encode_prior: encoded_size mismatch");
-    }
-    count_encode(buffer.size());
-    return buffer;
-}
-
-std::vector<std::uint8_t> encode_prior_v2(const dp::MixturePrior& prior,
-                                          const EncodingOptions& options,
-                                          const PriorBase* base) {
+std::vector<std::uint8_t> encode_prior(const dp::MixturePrior& prior,
+                                       const EncodingOptions& options,
+                                       const PriorBase* base) {
+    DREL_PROFILE_SCOPE("transfer.encode");
+    options.validate();
     const std::size_t d = prior.dim();
     const std::size_t num_components = prior.num_components();
     if (options.delta) {
@@ -288,22 +255,17 @@ std::vector<std::uint8_t> encode_prior_v2(const dp::MixturePrior& prior,
             if (atom_equals(prior, *base->prior, k)) present[k] = 0;
         }
     }
-    const std::size_t mean_bytes = section_bytes(d, options);
-    const std::size_t cov_bytes =
-        section_bytes(cov_entry_count(d, options.diagonal_only), options);
-    std::size_t size = 8 /*magic*/ + 4 * 4 /*version, flags, K, dim*/ +
-                       8 /*prior_version*/;
-    if (options.delta) size += 8 /*base_version*/;
-    if (options.quantized) size += 1 /*quant_bits*/;
+    const std::size_t atom_bytes = atom_payload_bytes(d, options);
+    std::size_t size = header_bytes(options);
     for (std::size_t k = 0; k < num_components; ++k) {
         if (options.delta && k < base_components) size += 1;  // presence byte
-        if (present[k]) size += 8 /*weight*/ + mean_bytes + cov_bytes;
+        if (present[k]) size += atom_bytes;
     }
 
     std::vector<std::uint8_t> buffer(size);
     Writer w(buffer);
     w.put_bytes(kMagic, sizeof(kMagic));
-    w.put(kWireV2);
+    w.put(options.version);
     std::uint32_t flags = 0;
     if (options.use_float32) flags |= kFlagFloat32;
     if (options.diagonal_only) flags |= kFlagDiagonalOnly;
@@ -312,7 +274,7 @@ std::vector<std::uint8_t> encode_prior_v2(const dp::MixturePrior& prior,
     w.put(flags);
     w.put(static_cast<std::uint32_t>(num_components));
     w.put(static_cast<std::uint32_t>(d));
-    w.put(options.prior_version);
+    if (options.version >= kWireV2) w.put(options.prior_version);
     if (options.delta) w.put(base->version);
     if (options.quantized) w.put(static_cast<std::uint8_t>(options.quantization_bits));
 
@@ -351,13 +313,11 @@ std::vector<std::uint8_t> encode_prior_v2(const dp::MixturePrior& prior,
         }
     }
     if (w.offset() != buffer.size()) {
-        throw std::logic_error("encode_prior: v2 size mismatch");
+        throw std::logic_error("encode_prior: frame size mismatch");
     }
     count_encode(buffer.size());
     return buffer;
 }
-
-}  // namespace
 
 std::uint32_t registered_flags(std::uint32_t version) {
     switch (version) {
@@ -415,29 +375,9 @@ EncodingOptions negotiated_options(EncodingOptions server_prefs,
 
 std::size_t encoded_size(std::size_t num_components, std::size_t dim,
                          const EncodingOptions& options) {
-    if (options.version == kWireV1) {
-        const std::size_t scalar = options.use_float32 ? 4 : 8;
-        const std::size_t cov_entries = cov_entry_count(dim, options.diagonal_only);
-        const std::size_t per_atom =
-            8 /*weight f64*/ + dim * scalar + cov_entries * scalar;
-        return 8 /*magic*/ + 4 * 4 /*version, flags, K, dim*/ + num_components * per_atom;
-    }
-    std::size_t size = 8 + 4 * 4 + 8 /*prior_version*/;
-    if (options.delta) size += 8 /*base_version*/;
-    if (options.quantized) size += 1 /*quant_bits*/;
     const std::size_t per_atom =
-        (options.delta ? 1 : 0) + 8 /*weight*/ + section_bytes(dim, options) +
-        section_bytes(cov_entry_count(dim, options.diagonal_only), options);
-    return size + num_components * per_atom;
-}
-
-std::vector<std::uint8_t> encode_prior(const dp::MixturePrior& prior,
-                                       const EncodingOptions& options,
-                                       const PriorBase* base) {
-    DREL_PROFILE_SCOPE("transfer.encode");
-    options.validate();
-    if (options.version == kWireV1) return encode_prior_v1(prior, options);
-    return encode_prior_v2(prior, options, base);
+        (options.delta ? 1 : 0) /*presence*/ + atom_payload_bytes(dim, options);
+    return header_bytes(options) + num_components * per_atom;
 }
 
 dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,

@@ -854,9 +854,7 @@ TEST(FleetHealth, FlightRecorderDumpsWhenEnvSet) {
     const std::string path = ::testing::TempDir() + "drel_engine_flight.json";
     std::remove(path.c_str());
     ASSERT_EQ(::setenv("DREL_FLIGHT_RECORDER", path.c_str(), 1), 0);
-    EngineConfig config = small_engine_config();
-    config.flight_recorder_capacity = 8;
-    (void)run_small_engine(config);
+    (void)run_small_engine(small_engine_config());
     ASSERT_EQ(::unsetenv("DREL_FLIGHT_RECORDER"), 0);
 
     std::ifstream in(path);
@@ -864,23 +862,26 @@ TEST(FleetHealth, FlightRecorderDumpsWhenEnvSet) {
     std::stringstream buffer;
     buffer << in.rdbuf();
     const obs::JsonValue doc = obs::JsonValue::parse(buffer.str());
-    EXPECT_EQ(doc.at("capacity").as_uint(), 8u);
-    // 3 starts + 3 ends + >= 1 arrival: more events than the ring holds.
-    EXPECT_GT(doc.at("total_recorded").as_uint(), 8u);
+    // The ring holds the whole small run: every recorded event, in order
+    // from the first, ending at the final round's close.
     const auto& events = doc.at("events").as_array();
-    ASSERT_EQ(events.size(), 8u);
-    // The tail of the run ends at the final round's close.
-    EXPECT_EQ(events.back().at("kind").as_string(), "round_end");
-    EXPECT_EQ(events.back().at("round").as_uint(), 2u);
-    std::uint64_t prev_seq = 0;
+    ASSERT_EQ(events.size(), doc.at("total_recorded").as_uint());
+    EXPECT_LE(events.size(), doc.at("capacity").as_uint());
+    std::size_t starts = 0;
+    std::size_t ends = 0;
+    std::uint64_t expected_seq = 0;
     for (const obs::JsonValue& event : events) {
         EXPECT_TRUE(event.at("virtual_time").is_number());
-        const std::uint64_t seq = event.at("seq").as_uint();
-        if (&event != &events.front()) {
-            EXPECT_EQ(seq, prev_seq + 1);
-        }
-        prev_seq = seq;
+        EXPECT_EQ(event.at("seq").as_uint(), expected_seq++);
+        starts += event.at("kind").as_string() == "round_start" ? 1 : 0;
+        ends += event.at("kind").as_string() == "round_end" ? 1 : 0;
     }
+    EXPECT_EQ(starts, 3u);
+    EXPECT_EQ(ends, 3u);
+    EXPECT_GT(events.size(), starts + ends);  // at least one upload arrival
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().at("kind").as_string(), "round_end");
+    EXPECT_EQ(events.back().at("round").as_uint(), 2u);
     std::remove(path.c_str());
 }
 
