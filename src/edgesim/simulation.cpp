@@ -1,12 +1,10 @@
 #include "edgesim/simulation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "baselines/trainers.hpp"
 #include "core/ensemble.hpp"
 #include "edgesim/device.hpp"
-#include "edgesim/shard.hpp"
 #include "models/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -178,20 +176,7 @@ FleetReport run_fleet_simulation(const SimulationConfig& config, stats::Rng& rng
         record_degradation(outcome.degraded);
     };
 
-    // The fleet is partitioned into contiguous shards (the same layout the
-    // event-driven engine uses); each parallel task walks one shard's slice.
-    // Devices keep their GLOBAL index j — RNG tags (fleet_rng.fork(j)) and
-    // fault cells are unchanged — so the shard count is pure execution
-    // detail and reports (and the golden files) are bit-identical to the
-    // per-device dispatch this replaces.
-    const std::size_t num_shards =
-        config.num_shards > 0 ? config.num_shards
-                              : std::max<std::size_t>(1, config.num_threads);
-    const std::vector<ShardLayout> layouts =
-        make_shard_layouts(config.num_edge_devices, num_shards);
-    util::parallel_for(layouts.size(), config.num_threads, [&](std::size_t s) {
-        for (std::size_t j = layouts[s].begin; j < layouts[s].end; ++j) run_device(j);
-    });
+    util::parallel_for(config.num_edge_devices, config.num_threads, run_device);
     return report;
 }
 

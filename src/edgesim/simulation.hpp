@@ -52,11 +52,6 @@ struct SimulationConfig {
     /// produces bit-identical results; >1 just uses more cores.
     std::size_t num_threads = 1;
 
-    /// Contiguous device shards the fleet is partitioned into (the unit of
-    /// parallel dispatch; see edgesim/shard.hpp). 0 = one per thread.
-    /// Devices keep their global index, so any shard count is bit-identical.
-    std::size_t num_shards = 0;
-
     /// Deterministic fault injection (all-zero by default: a perfect
     /// world). Fault decisions come from a dedicated forked stream, so
     /// enabling faults never perturbs the healthy path's data or training
