@@ -101,7 +101,8 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
 
     // device_stream(device_root, round, j, purpose), split at its links:
     // the round link is forked once per shard-round and the device link
-    // once per device, and both purposes hang off that same device link.
+    // once per device that draws, and both purposes hang off that same
+    // device link.
     const stats::Rng round_link = device_root.fork(round);
 
     for (std::size_t j = layout_.begin; j < layout_.end; ++j) {
@@ -113,39 +114,36 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
         const DeviceFaultDecision faults = plan.device_faults(round, j);
         if (plan.active()) record_injected_faults(faults);
 
-        const stats::Rng device_link = round_link.fork(j);
         DeviceResult result;
-        // The completing path is the fall-through. Written as an else-if
-        // chain, the compiler put it behind a jump, which cost scale_100k
-        // about 9 % CPU per device-round on a 4-core Xeon.
+        // The completing path must stay the fall-through: placed behind a
+        // jump, it cost scale_100k about 9 % CPU per device-round on a
+        // 4-core Xeon. Its latency is a bounded healthy draw plus whatever
+        // simulated time the work accrued (upload backoff).
+        double latency = deadline_seconds;
         if (!faults.crash && !faults.straggler) [[likely]] {
+            const stats::Rng device_link = round_link.fork(j);
             stats::Rng work_rng =
                 device_link.fork(static_cast<std::uint64_t>(DeviceStream::kWork));
             result = work(round, j, work_rng, *workspace_);
-        } else {
-            // A crash died mid-round; a straggler finished past the deadline
-            // and its late result is discarded. Neither runs the work: no
-            // score, no upload.
-            result.reason =
-                faults.crash ? DegradedReason::kCrashed : DegradedReason::kStraggler;
-        }
-
-        // Virtual latency: a bounded healthy draw plus whatever simulated
-        // time the work itself accrued (upload backoff). Stragglers land
-        // deterministically past the deadline; crashes never complete and
-        // are pinned AT the deadline for the percentile arrays.
-        stats::Rng lat_rng =
-            device_link.fork(static_cast<std::uint64_t>(DeviceStream::kLatency));
-        const double healthy =
-            deadline_seconds * (0.05 + 0.20 * lat_rng.uniform()) + result.extra_seconds;
-        double latency;
-        if (faults.crash) {
-            latency = deadline_seconds;
-        } else if (faults.straggler) {
-            latency = deadline_seconds * (1.5 + 0.5 * lat_rng.uniform());
-        } else {
-            latency = std::min(healthy, deadline_seconds);
+            stats::Rng lat_rng =
+                device_link.fork(static_cast<std::uint64_t>(DeviceStream::kLatency));
+            latency = std::min(
+                deadline_seconds * (0.05 + 0.20 * lat_rng.uniform()) + result.extra_seconds,
+                deadline_seconds);
             out.completion_seconds = std::max(out.completion_seconds, latency);
+        } else if (faults.crash) {
+            // Died mid-round: no work, no stream, no draw. Pinned AT the
+            // deadline for the percentile arrays.
+            result.reason = DegradedReason::kCrashed;
+        } else {
+            // Finished past the deadline; the late result is discarded, so
+            // the work never runs. Its latency stream keeps the healthy
+            // draw first and lands past the deadline on the second.
+            result.reason = DegradedReason::kStraggler;
+            stats::Rng lat_rng = round_link.fork(j).fork(
+                static_cast<std::uint64_t>(DeviceStream::kLatency));
+            (void)lat_rng.uniform();
+            latency = deadline_seconds * (1.5 + 0.5 * lat_rng.uniform());
         }
 
         // Collect deferred thetas BEFORE the upload block may move the

@@ -200,7 +200,8 @@ class Shard {
     /// raw thetas when `keep_thetas`). A crashed or straggling row reads
     /// kCrashed or kStraggler, unscored and without an upload.
     /// `deadline_seconds` caps healthy latency draws; stragglers land past
-    /// it deterministically. Devices whose result sets `defer_score` are
+    /// it deterministically, and a crash sits at it without touching any
+    /// stream. Devices whose result sets `defer_score` are
     /// collected and scored by `batch_score` in ONE call after the device
     /// loop (slice order, so the batch is a pure function of the slice);
     /// pass nullptr when no work defers.
