@@ -97,7 +97,7 @@ Executor& Executor::global() {
 
 ThreadPool& Executor::pool() {
     std::call_once(pool_once_, [this] {
-        pool_ = std::make_unique<ThreadPool>(max_threads_ - 1, ShutdownPolicy::kDrain);
+        pool_ = std::make_unique<ThreadPool>(max_threads_ - 1);
     });
     return *pool_;
 }

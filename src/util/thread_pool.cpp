@@ -5,7 +5,7 @@
 
 namespace drel::util {
 
-ThreadPool::ThreadPool(std::size_t num_threads, ShutdownPolicy policy) : policy_(policy) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
     if (num_threads == 0) throw std::invalid_argument("ThreadPool: need >= 1 thread");
     workers_.reserve(num_threads);
     for (std::size_t t = 0; t < num_threads; ++t) {
@@ -23,18 +23,8 @@ void ThreadPool::shutdown() {
     }
     condition_.notify_all();
     for (std::thread& worker : workers_) worker.join();
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        joined_ = true;
-        // Under kAbandon, workers returned without draining. Destroying the
-        // unexecuted packaged_tasks stores broken_promise in their futures.
-        queue_ = {};
-    }
-}
-
-bool ThreadPool::is_shutting_down() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return stopping_;
+    joined_ = true;
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
@@ -56,7 +46,6 @@ void ThreadPool::worker_loop() {
             std::unique_lock<std::mutex> lock(mutex_);
             condition_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
             if (queue_.empty()) return;  // stopping and drained
-            if (stopping_ && policy_ == ShutdownPolicy::kAbandon) return;
             task = std::move(queue_.front());
             queue_.pop();
         }

@@ -1,4 +1,4 @@
-// Fixed-size thread pool with explicit shutdown semantics.
+// Fixed-size thread pool that drains on shutdown.
 //
 // The pool is deliberately minimal: fixed worker count, FIFO queue, futures
 // for joining, no work stealing. Higher-level parallel loops (parallel_for,
@@ -6,13 +6,8 @@
 // on a shared, lazily-created global instance of this pool so hot paths do
 // not pay thread creation per call.
 //
-// Shutdown semantics are explicit (ShutdownPolicy):
-//   * kDrain (default): the destructor (or shutdown()) lets workers finish
-//     every task already queued, then joins. No future is ever broken.
-//   * kAbandon: workers finish only the task they are currently running;
-//     everything still queued is destroyed unexecuted. Destroying an
-//     unexecuted packaged_task stores std::future_error{broken_promise} in
-//     its future, so waiters wake with an error instead of hanging forever.
+// Shutdown (the destructor or shutdown()) lets workers finish every task
+// already queued, then joins. No future is ever broken.
 #pragma once
 
 #include <condition_variable>
@@ -25,19 +20,12 @@
 
 namespace drel::util {
 
-enum class ShutdownPolicy {
-    kDrain,    ///< run all queued tasks before joining
-    kAbandon,  ///< drop queued tasks; their futures get broken_promise
-};
-
 class ThreadPool {
  public:
-    /// Spawns `num_threads` workers (>= 1). `policy` controls what happens
-    /// to queued-but-unstarted tasks at shutdown (see ShutdownPolicy).
-    explicit ThreadPool(std::size_t num_threads,
-                        ShutdownPolicy policy = ShutdownPolicy::kDrain);
+    /// Spawns `num_threads` workers (>= 1).
+    explicit ThreadPool(std::size_t num_threads);
 
-    /// Equivalent to shutdown(): applies the construction-time policy.
+    /// Equivalent to shutdown().
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -49,24 +37,17 @@ class ThreadPool {
     /// propagate through the future). Throws if the pool is shutting down.
     std::future<void> submit(std::function<void()> task);
 
-    /// Stops accepting work and joins all workers, applying the
-    /// construction-time ShutdownPolicy. Idempotent; called by ~ThreadPool.
-    /// With kAbandon, queued tasks are destroyed here and their futures
-    /// receive std::future_error{broken_promise}.
+    /// Stops accepting work, runs everything already queued and joins all
+    /// workers. Idempotent; called by ~ThreadPool.
     void shutdown();
-
-    /// True once shutdown has begun (visible to tests that need to sequence
-    /// against the stop signal).
-    bool is_shutting_down() const;
 
  private:
     void worker_loop();
 
     std::vector<std::thread> workers_;
     std::queue<std::packaged_task<void()>> queue_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable condition_;
-    ShutdownPolicy policy_;
     bool stopping_ = false;
     bool joined_ = false;
 };

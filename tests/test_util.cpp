@@ -321,38 +321,13 @@ TEST(ThreadPool, DrainPolicyRunsEverythingQueuedBeforeJoin) {
     std::atomic<int> counter{0};
     std::vector<std::future<void>> futures;
     {
-        util::ThreadPool pool(2, util::ShutdownPolicy::kDrain);
+        util::ThreadPool pool(2);
         for (int i = 0; i < 64; ++i) {
             futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
         }
     }  // destructor drains
     for (auto& f : futures) EXPECT_NO_THROW(f.get());
     EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, AbandonPolicyBreaksPromisesOfQueuedTasks) {
-    util::ThreadPool pool(1, util::ShutdownPolicy::kAbandon);
-    std::promise<void> gate;
-    std::shared_future<void> gate_future = gate.get_future().share();
-    std::promise<void> started;
-    auto running = pool.submit([&, gate_future] {
-        started.set_value();
-        gate_future.wait();
-    });
-    started.get_future().wait();  // the lone worker is now inside the task
-    std::vector<std::future<void>> queued;
-    for (int i = 0; i < 8; ++i) queued.push_back(pool.submit([] {}));
-
-    std::thread shutter([&pool] { pool.shutdown(); });
-    while (!pool.is_shutting_down()) std::this_thread::yield();
-    gate.set_value();  // release the in-flight task only after stop is signalled
-    shutter.join();
-
-    EXPECT_NO_THROW(running.get());  // in-flight task finished normally
-    for (auto& f : queued) {
-        // Abandoned tasks must fail fast with broken_promise, never hang.
-        EXPECT_THROW(f.get(), std::future_error);
-    }
 }
 
 TEST(ThreadPool, SubmitAfterShutdownThrows) {
