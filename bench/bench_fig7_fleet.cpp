@@ -8,18 +8,17 @@
 // and a per-device payload of a few KB vs the hundreds of KB that shipping
 // raw contributor data would take.
 //
-// DREL_THREADS overrides the worker count (default: hardware concurrency);
-// all metrics go to stdout and are bit-identical at any thread count, while
-// timing (wall clock, per-device train time) goes to stderr so
-//   DREL_THREADS=1 ./bench_fig7_fleet > serial.txt
-//   DREL_THREADS=8 ./bench_fig7_fleet > par8.txt && diff serial.txt par8.txt
+// The run uses every thread of the shared executor (DREL_NUM_THREADS sizes
+// it; default: hardware concurrency). All metrics go to stdout and are
+// bit-identical at any thread count, while timing (wall clock, per-device
+// train time) goes to stderr so
+//   DREL_NUM_THREADS=1 ./bench_fig7_fleet > serial.txt
+//   DREL_NUM_THREADS=8 ./bench_fig7_fleet > par8.txt && diff serial.txt par8.txt
 // verifies determinism and the stderr lines show the speedup.
-#include <cstdlib>
-#include <thread>
-
 #include "edgesim/simulation.hpp"
 
 #include "bench_common.hpp"
+#include "util/executor.hpp"
 #include "util/stopwatch.hpp"
 
 int main() {
@@ -39,11 +38,7 @@ int main() {
     config.test_samples = 2000;
     config.cloud.gibbs_sweeps = 60;
     config.learner.transfer_weight = 2.0;
-    config.num_threads = std::max(1u, std::thread::hardware_concurrency());
-    if (const char* env = std::getenv("DREL_THREADS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1) config.num_threads = static_cast<std::size_t>(parsed);
-    }
+    config.num_threads = util::Executor::global().max_threads();
     config.run_ensemble = true;
 
     stats::Rng rng(42);
