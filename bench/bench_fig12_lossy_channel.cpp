@@ -50,7 +50,7 @@ int main() {
                 stats::Rng trial_rng = rng.fork(static_cast<std::uint64_t>(t) +
                                                 1000 * static_cast<std::uint64_t>(loss * 100));
                 const edgesim::TransmissionReport report =
-                    edgesim::transmit_prior(payload, channel, trial_rng);
+                    edgesim::transmit_with_retries(payload, channel, trial_rng);
                 attempts.push(static_cast<double>(report.attempts));
                 on_air.push(static_cast<double>(report.transmitted_bytes));
                 if (report.delivered) ++delivered;

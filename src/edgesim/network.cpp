@@ -1,23 +1,14 @@
 #include "edgesim/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
-#include "edgesim/transfer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace drel::edgesim {
 namespace {
-
-bool prior_validates(const std::vector<std::uint8_t>& payload) {
-    try {
-        (void)decode_prior(payload);
-        return true;
-    } catch (const std::exception&) {
-        return false;
-    }
-}
 
 void check_probability(double value, const char* name) {
     if (!(value >= 0.0 && value <= 1.0)) {
@@ -40,12 +31,8 @@ void ChannelConfig::validate() const {
 }
 
 TransmissionReport transmit_with_retries(const std::vector<std::uint8_t>& payload,
-                                         const ChannelConfig& config, stats::Rng& rng,
-                                         const PayloadValidator& validate) {
+                                         const ChannelConfig& config, stats::Rng& rng) {
     config.validate();
-    if (!validate) {
-        throw std::invalid_argument("transmit_with_retries: validate must be callable");
-    }
     if (payload.empty()) {
         // Same contract as packet_bytes == 0: reject the nonsensical call up
         // front. The old behavior burned max_transmissions attempts shipping
@@ -70,9 +57,8 @@ TransmissionReport transmit_with_retries(const std::vector<std::uint8_t>& payloa
         transmissions.add(1);
         transmitted_bytes.add(payload.size());
 
-        std::vector<std::uint8_t> received;
-        received.reserve(payload.size());
         bool any_drop = false;
+        bool any_corrupt = false;
         for (std::size_t offset = 0; offset < payload.size(); offset += config.packet_bytes) {
             const std::size_t end = std::min(offset + config.packet_bytes, payload.size());
             if (config.packet_loss_prob > 0.0 && rng.uniform() < config.packet_loss_prob) {
@@ -81,33 +67,26 @@ TransmissionReport transmit_with_retries(const std::vector<std::uint8_t>& payloa
                 any_drop = true;
                 continue;  // packet vanishes; receiver sees a short payload
             }
-            for (std::size_t i = offset; i < end; ++i) {
-                std::uint8_t byte = payload[i];
-                if (config.bit_flip_prob > 0.0 && rng.uniform() < config.bit_flip_prob) {
-                    byte ^= static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+            if (config.bit_flip_prob > 0.0) {
+                for (std::size_t i = offset; i < end; ++i) {
+                    if (rng.uniform() < config.bit_flip_prob) any_corrupt = true;
                 }
-                received.push_back(byte);
             }
         }
 
-        if (!any_drop && received.size() == payload.size() && validate(received)) {
+        if (!any_drop && !any_corrupt) {
             report.delivered = true;
             deliveries.add(1);
-            report.payload = std::move(received);
+            report.payload = payload;
             return report;
         }
-        if (!any_drop && received.size() == payload.size()) {
-            ++report.corrupted_attempts;  // intact length but failed validation
+        if (!any_drop) {
+            ++report.corrupted_attempts;  // every packet arrived, a checksum failed
             corrupted.add(1);
         }
     }
     failures.add(1);
     return report;
-}
-
-TransmissionReport transmit_prior(const std::vector<std::uint8_t>& encoded_prior,
-                                  const ChannelConfig& config, stats::Rng& rng) {
-    return transmit_with_retries(encoded_prior, config, rng, &prior_validates);
 }
 
 }  // namespace drel::edgesim

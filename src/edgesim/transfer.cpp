@@ -16,6 +16,26 @@ namespace {
 constexpr char kMagic[8] = {'D', 'R', 'E', 'L', 'P', 'R', 'I', 'O'};
 constexpr int kMinQuantBits = 2;
 constexpr int kMaxQuantBits = 16;
+/// Cap on the K x d x d covariance entries a frame may describe: a decode
+/// allocates dense d x d covariances, diagonal-only frames included, so a
+/// header alone could otherwise demand gigabytes. 2^22 doubles (32 MiB) is
+/// orders of magnitude above any prior the system ships.
+constexpr std::uint64_t kMaxCovarianceEntries = std::uint64_t{1} << 22;
+
+/// Throws unless 1 <= K, 1 <= d and K * d * d <= kMaxCovarianceEntries.
+void check_geometry(std::uint64_t num_components, std::uint64_t dim, const char* who) {
+    if (num_components == 0 || dim == 0 || dim > kMaxCovarianceEntries / dim ||
+        num_components > kMaxCovarianceEntries / (dim * dim)) {
+        throw std::invalid_argument(std::string(who) + ": implausible header counts");
+    }
+}
+
+/// Bits a decoder of `version` accepts: the single source of truth for
+/// flag validation.
+std::uint32_t registered_flags(std::uint32_t version) {
+    return version == kWireV1 ? kFlagFloat32 | kFlagDiagonalOnly
+                              : kFlagFloat32 | kFlagDiagonalOnly | kFlagQuantized | kFlagDelta;
+}
 
 // Cursor writer over a buffer pre-sized to the exact encode size: plain
 // memcpy at an advancing offset, no per-value capacity checks or insert
@@ -65,23 +85,8 @@ class Reader {
         return value;
     }
 
-    double get_scalar(bool as_float32) {
-        return as_float32 ? static_cast<double>(get<float>()) : get<double>();
-    }
-
-    /// Bulk read for the float64 path; value-identical to `count`
-    /// get<double>() calls.
-    void get_doubles(double* dst, std::size_t count) {
-        const std::size_t bytes = count * sizeof(double);
-        if (offset_ + bytes > buffer_.size()) {
-            throw std::invalid_argument("decode_prior: truncated buffer");
-        }
-        std::memcpy(dst, buffer_.data() + offset_, bytes);
-        offset_ += bytes;
-    }
-
     const std::uint8_t* get_span(std::size_t count) {
-        if (offset_ + count > buffer_.size()) {
+        if (count > buffer_.size() - offset_) {
             throw std::invalid_argument("decode_prior: truncated buffer");
         }
         const std::uint8_t* span = buffer_.data() + offset_;
@@ -89,7 +94,6 @@ class Reader {
         return span;
     }
 
-    std::size_t remaining() const noexcept { return buffer_.size() - offset_; }
     bool exhausted() const noexcept { return offset_ == buffer_.size(); }
 
  private:
@@ -156,6 +160,39 @@ void read_quantized_section(Reader& r, std::vector<double>& out, std::size_t cou
         acc >>= bits;
         acc_bits -= bits;
         out[i] = span > 0.0 ? lo + static_cast<double>(q) / levels * span : lo;
+    }
+}
+
+/// One value section in the frame's format: bit-packed when quantized,
+/// else one scalar per value.
+void write_section(Writer& w, const std::vector<double>& values,
+                   const EncodingOptions& options) {
+    if (options.quantized) {
+        write_quantized_section(w, values, options.quantization_bits);
+    } else {
+        for (const double v : values) w.put_scalar(v, options.use_float32);
+    }
+}
+
+/// The inverse of write_section: `quant_bits` > 0 for a quantized frame.
+/// The bytes are bounds-checked before `out` grows.
+void read_section(Reader& r, std::vector<double>& out, std::size_t count, int quant_bits,
+                  bool float32) {
+    if (quant_bits > 0) {
+        read_quantized_section(r, out, count, quant_bits);
+        return;
+    }
+    const std::size_t width = float32 ? sizeof(float) : sizeof(double);
+    const std::uint8_t* bytes = r.get_span(count * width);
+    out.resize(count);
+    if (!float32) {
+        std::memcpy(out.data(), bytes, count * sizeof(double));
+        return;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        float value;
+        std::memcpy(&value, bytes + i * sizeof(float), sizeof(float));
+        out[i] = static_cast<double>(value);
     }
 }
 
@@ -236,6 +273,7 @@ std::vector<std::uint8_t> encode_prior(const dp::MixturePrior& prior,
     options.validate();
     const std::size_t d = prior.dim();
     const std::size_t num_components = prior.num_components();
+    check_geometry(num_components, d, "encode_prior");
     if (options.delta) {
         if (base == nullptr || base->prior == nullptr) {
             throw std::invalid_argument("encode_prior: delta encoding needs a base prior");
@@ -293,11 +331,7 @@ std::vector<std::uint8_t> encode_prior(const dp::MixturePrior& prior,
             const linalg::Vector& base_mean = base->prior->atom(k).mean();
             for (std::size_t i = 0; i < d; ++i) section[i] -= base_mean[i];
         }
-        if (options.quantized) {
-            write_quantized_section(w, section, options.quantization_bits);
-        } else {
-            for (const double v : section) w.put_scalar(v, options.use_float32);
-        }
+        write_section(w, section, options);
 
         gather_cov_entries(atom.covariance(), options.diagonal_only, section);
         if (residual) {
@@ -306,29 +340,13 @@ std::vector<std::uint8_t> encode_prior(const dp::MixturePrior& prior,
                                base_section);
             for (std::size_t i = 0; i < section.size(); ++i) section[i] -= base_section[i];
         }
-        if (options.quantized) {
-            write_quantized_section(w, section, options.quantization_bits);
-        } else {
-            for (const double v : section) w.put_scalar(v, options.use_float32);
-        }
+        write_section(w, section, options);
     }
     if (w.offset() != buffer.size()) {
         throw std::logic_error("encode_prior: frame size mismatch");
     }
     count_encode(buffer.size());
     return buffer;
-}
-
-std::uint32_t registered_flags(std::uint32_t version) {
-    switch (version) {
-        case kWireV1:
-            return kFlagFloat32 | kFlagDiagonalOnly;
-        case kWireV2:
-            return kFlagFloat32 | kFlagDiagonalOnly | kFlagQuantized | kFlagDelta;
-        default:
-            throw std::invalid_argument("registered_flags: unsupported version " +
-                                        std::to_string(version));
-    }
 }
 
 void EncodingOptions::validate() const {
@@ -350,29 +368,6 @@ void EncodingOptions::validate() const {
     }
 }
 
-std::uint32_t negotiate_wire_version(std::uint32_t server_max, std::uint32_t device_max) {
-    // A peer advertising a FUTURE version is fine — it also speaks ours, so
-    // the wire clamps to what both sides implement. A peer advertising 0
-    // speaks nothing we can emit.
-    const std::uint32_t version = std::min({server_max, device_max, kMaxWireVersion});
-    if (version < kWireV1) {
-        throw std::invalid_argument("negotiate_wire_version: no common version");
-    }
-    return version;
-}
-
-EncodingOptions negotiated_options(EncodingOptions server_prefs,
-                                   std::uint32_t device_max) {
-    const std::uint32_t version = negotiate_wire_version(server_prefs.version, device_max);
-    server_prefs.version = version;
-    if (version < kWireV2) {
-        server_prefs.quantized = false;
-        server_prefs.delta = false;
-    }
-    server_prefs.validate();
-    return server_prefs;
-}
-
 std::size_t encoded_size(std::size_t num_components, std::size_t dim,
                          const EncodingOptions& options) {
     const std::size_t per_atom =
@@ -380,24 +375,17 @@ std::size_t encoded_size(std::size_t num_components, std::size_t dim,
     return header_bytes(options) + num_components * per_atom;
 }
 
-dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
-                              const PriorBase* base, std::uint32_t max_version,
-                              WireInfo* info) {
+dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer, const PriorBase* base) {
     DREL_PROFILE_SCOPE("transfer.decode");
     if (buffer.size() < 8 || std::memcmp(buffer.data(), kMagic, 8) != 0) {
         throw std::invalid_argument("decode_prior: bad magic");
     }
     Reader r(buffer);
-    for (int i = 0; i < 8; ++i) (void)r.get<std::uint8_t>();  // skip magic
+    (void)r.get_span(sizeof(kMagic));
     const std::uint32_t version = r.get<std::uint32_t>();
     if (version != kWireV1 && version != kWireV2) {
         throw std::invalid_argument("decode_prior: unsupported version " +
                                     std::to_string(version));
-    }
-    if (version > max_version) {
-        throw std::invalid_argument("decode_prior: version " + std::to_string(version) +
-                                    " exceeds negotiated maximum " +
-                                    std::to_string(max_version));
     }
     const std::uint32_t flags = r.get<std::uint32_t>();
     if ((flags & ~registered_flags(version)) != 0) {
@@ -413,15 +401,12 @@ dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
     }
     const std::uint32_t num_components = r.get<std::uint32_t>();
     const std::uint32_t dim = r.get<std::uint32_t>();
-    if (num_components == 0 || num_components > 100000 || dim == 0 || dim > 100000) {
-        throw std::invalid_argument("decode_prior: implausible header counts");
-    }
+    check_geometry(num_components, dim, "decode_prior");
 
-    std::uint64_t prior_version = 0;
     std::size_t base_components = 0;
     int quant_bits = 0;
     if (version >= kWireV2) {
-        prior_version = r.get<std::uint64_t>();
+        (void)r.get<std::uint64_t>();  // prior_version
         if (delta) {
             // Resolve the delta's base BEFORE any atom allocation: an
             // unknown or mismatched base means the payload cannot be
@@ -454,6 +439,7 @@ dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
     std::vector<stats::MultivariateNormal> atoms;
     atoms.reserve(num_components);
     std::vector<double> section;
+    std::vector<double> base_section;
     for (std::uint32_t k = 0; k < num_components; ++k) {
         if (delta && k < base_components) {
             const std::uint8_t present = r.get<std::uint8_t>();
@@ -471,68 +457,33 @@ dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
         if (!(weights[k] > 0.0)) {
             throw std::invalid_argument("decode_prior: non-positive weight");
         }
-        const bool residual = quantized && delta && k < base_components;
-        // Read the mean BEFORE constructing the dim x dim covariance: a
-        // corrupted header dim must fail the bounds check on the mean read,
-        // not zero-fill a gigabyte-scale matrix first.
-        linalg::Vector mean(dim);
-        if (quantized) {
-            read_quantized_section(r, section, dim, quant_bits);
-            for (std::uint32_t i = 0; i < dim; ++i) mean[i] = section[i];
-            if (residual) {
-                const linalg::Vector& base_mean = base->prior->atom(k).mean();
-                for (std::uint32_t i = 0; i < dim; ++i) mean[i] += base_mean[i];
-            }
-        } else if (float32) {
-            for (std::uint32_t i = 0; i < dim; ++i) mean[i] = r.get_scalar(true);
-        } else {
-            r.get_doubles(mean.data(), dim);
+        // Quantized sections of an atom the base holds carry residuals.
+        const stats::MultivariateNormal* base_atom =
+            quantized && delta && k < base_components ? &base->prior->atom(k) : nullptr;
+
+        read_section(r, section, dim, quant_bits, float32);
+        if (base_atom != nullptr) {
+            for (std::uint32_t i = 0; i < dim; ++i) section[i] += base_atom->mean()[i];
+        }
+        linalg::Vector mean(section);
+
+        // Both sections are read before the d x d allocation, so a frame
+        // cut short fails its bounds check without zero-filling a matrix.
+        read_section(r, section, cov_entry_count(dim, diagonal), quant_bits, float32);
+        if (base_atom != nullptr) {
+            gather_cov_entries(base_atom->covariance(), diagonal, base_section);
+            for (std::size_t i = 0; i < section.size(); ++i) section[i] += base_section[i];
         }
         linalg::Matrix cov(dim, dim);
-        if (quantized) {
-            const std::size_t entries = cov_entry_count(dim, diagonal);
-            read_quantized_section(r, section, entries, quant_bits);
-            if (residual) {
-                std::vector<double> base_section;
-                gather_cov_entries(base->prior->atom(k).covariance(), diagonal,
-                                   base_section);
-                for (std::size_t i = 0; i < entries; ++i) section[i] += base_section[i];
-            }
-            if (diagonal) {
-                for (std::uint32_t i = 0; i < dim; ++i) cov(i, i) = section[i];
-            } else {
-                std::size_t at = 0;
-                for (std::uint32_t row = 0; row < dim; ++row) {
-                    for (std::uint32_t col = 0; col <= row; ++col) {
-                        cov(row, col) = section[at];
-                        cov(col, row) = section[at];
-                        ++at;
-                    }
-                }
-            }
-        } else if (float32) {
-            if (diagonal) {
-                for (std::uint32_t i = 0; i < dim; ++i) cov(i, i) = r.get_scalar(true);
-            } else {
-                for (std::uint32_t row = 0; row < dim; ++row) {
-                    for (std::uint32_t col = 0; col <= row; ++col) {
-                        const double v = r.get_scalar(true);
-                        cov(row, col) = v;
-                        cov(col, row) = v;
-                    }
-                }
-            }
+        if (diagonal) {
+            for (std::uint32_t i = 0; i < dim; ++i) cov(i, i) = section[i];
         } else {
-            if (diagonal) {
-                for (std::uint32_t i = 0; i < dim; ++i) cov(i, i) = r.get<double>();
-            } else {
-                // Read each lower-triangle row prefix straight into the
-                // row-major storage, then mirror the strict lower part.
-                for (std::uint32_t row = 0; row < dim; ++row) {
-                    r.get_doubles(cov.row_data(row), row + 1);
-                    for (std::uint32_t col = 0; col < row; ++col) {
-                        cov(col, row) = cov(row, col);
-                    }
+            std::size_t at = 0;
+            for (std::uint32_t row = 0; row < dim; ++row) {
+                for (std::uint32_t col = 0; col <= row; ++col) {
+                    cov(row, col) = section[at];
+                    cov(col, row) = section[at];
+                    ++at;
                 }
             }
         }
@@ -541,29 +492,9 @@ dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
     if (!r.exhausted()) {
         throw std::invalid_argument("decode_prior: trailing bytes");
     }
-    if (info != nullptr) {
-        info->version = version;
-        info->flags = flags;
-        info->prior_version = prior_version;
-        info->num_components = num_components;
-        info->dim = dim;
-    }
     static obs::Counter& decodes = obs::Registry::global().counter("transfer.decodes");
     decodes.add(1);
     return dp::MixturePrior(std::move(weights), std::move(atoms));
-}
-
-std::optional<dp::MixturePrior> try_decode_prior(const std::vector<std::uint8_t>& buffer,
-                                                 const PriorBase* base,
-                                                 std::uint32_t max_version) {
-    try {
-        return decode_prior(buffer, base, max_version);
-    } catch (const std::exception&) {
-        static obs::Counter& rejected =
-            obs::Registry::global().counter("transfer.decode_rejected");
-        rejected.add(1);
-        return std::nullopt;
-    }
 }
 
 }  // namespace drel::edgesim

@@ -41,20 +41,14 @@
 //   kFlagQuantized    v2   bit-packed affine quantization per section
 //   kFlagDelta        v2   per-atom delta against the last-acked prior
 //
-// Version negotiation: a server and a device each advertise the highest
-// version they speak; the wire runs min(server, device)
-// (negotiate_wire_version), and negotiated_options() clamps a server's
-// preferred options down to what the negotiated version can express — a v2
-// server still emits plain v1 to a v1-only device. Decoders take a
-// `max_version` (default: newest) so a v1-only device rejects a v2 payload
-// with a clear error, and every decoder validates magic, version, flags,
-// header geometry and buffer length BEFORE the K x d x d allocation and
-// throws std::invalid_argument on any malformed input (fuzzed with
+// Every decoder validates magic, version, flags and header geometry before
+// the first atom, rejecting a header whose K x d x d covariance entries
+// exceed 2^22 (encode_prior refuses the same priors), bounds-checks every
+// read, and throws std::invalid_argument on any malformed input (fuzzed with
 // truncated, bit-flipped and overlong buffers for both versions).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "dp/mixture_prior.hpp"
@@ -63,17 +57,12 @@ namespace drel::edgesim {
 
 inline constexpr std::uint32_t kWireV1 = 1;
 inline constexpr std::uint32_t kWireV2 = 2;
-inline constexpr std::uint32_t kMaxWireVersion = kWireV2;
 
 // The flags registry.
 inline constexpr std::uint32_t kFlagFloat32 = 1u << 0;
 inline constexpr std::uint32_t kFlagDiagonalOnly = 1u << 1;
 inline constexpr std::uint32_t kFlagQuantized = 1u << 2;  // v2 only
 inline constexpr std::uint32_t kFlagDelta = 1u << 3;      // v2 only
-
-/// Bits a decoder of `version` accepts; throws std::invalid_argument on an
-/// unsupported version. The single source of truth for flag validation.
-std::uint32_t registered_flags(std::uint32_t version);
 
 struct EncodingOptions {
     bool use_float32 = false;
@@ -105,48 +94,19 @@ struct PriorBase {
     std::uint64_t version = 0;
 };
 
-/// Header fields surfaced to callers that negotiate (optional out-param of
-/// decode_prior).
-struct WireInfo {
-    std::uint32_t version = 0;
-    std::uint32_t flags = 0;
-    std::uint64_t prior_version = 0;  ///< 0 on v1 frames
-    std::size_t num_components = 0;
-    std::size_t dim = 0;
-};
-
-/// min(server_max, device_max); throws std::invalid_argument when either
-/// side speaks no supported version.
-std::uint32_t negotiate_wire_version(std::uint32_t server_max, std::uint32_t device_max);
-
-/// Clamps the server's preferred options to what a device speaking at most
-/// `device_max` can decode: the version drops to the negotiated one and
-/// v2-only features (quantized, delta) are shed on a v1 wire.
-EncodingOptions negotiated_options(EncodingOptions server_prefs, std::uint32_t device_max);
-
 /// Encodes under `options`. `base` is required when options.delta is set
-/// (and must match the prior's dimension); ignored otherwise.
+/// (and must match the prior's dimension); ignored otherwise. Throws
+/// std::invalid_argument on a prior no decoder accepts (K x d x d > 2^22).
 std::vector<std::uint8_t> encode_prior(const dp::MixturePrior& prior,
                                        const EncodingOptions& options = {},
                                        const PriorBase* base = nullptr);
 
-/// Decodes either version up to `max_version`. `base` is required to
-/// resolve kFlagDelta payloads: its version must equal the frame's
-/// base_version and its dimension the frame's — checked, like all header
-/// geometry, before any atom allocation.
+/// Decodes either version. `base` is required to resolve kFlagDelta
+/// payloads: its version must equal the frame's base_version and its
+/// dimension the frame's — checked, like all header geometry, before the
+/// first atom.
 dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
-                              const PriorBase* base = nullptr,
-                              std::uint32_t max_version = kMaxWireVersion,
-                              WireInfo* info = nullptr);
-
-/// Non-throwing decode for tolerant receivers: std::nullopt on any
-/// malformed buffer (what decode_prior would reject). Counts rejected
-/// payloads under `transfer.decode_rejected`. The graceful-degradation
-/// entry point — a device that gets nullopt falls back to local-only ERM
-/// instead of aborting its round (see edgesim/faults.hpp).
-std::optional<dp::MixturePrior> try_decode_prior(const std::vector<std::uint8_t>& buffer,
-                                                 const PriorBase* base = nullptr,
-                                                 std::uint32_t max_version = kMaxWireVersion);
+                              const PriorBase* base = nullptr);
 
 /// Exact size in bytes that encode_prior would produce for non-delta
 /// options. For delta options this is the worst case (every atom present);

@@ -337,9 +337,8 @@ TEST(FaultPlan, CorruptedPayloadNeverDecodes) {
             plan.corrupt_payload(payload, decision);
         ASSERT_EQ(garbled.size(), payload.size());
         EXPECT_NE(garbled, payload);
-        // The strict decoder must reject it — the tolerant path reports the
-        // rejection instead of raising.
-        EXPECT_FALSE(try_decode_prior(garbled).has_value());
+        // The strict decoder must reject it.
+        EXPECT_THROW(decode_prior(garbled), std::invalid_argument);
     }
 }
 

@@ -1,5 +1,5 @@
 // Wire format v2 (edgesim/transfer.hpp): round-trip properties, delta
-// reconstruction, version negotiation, the flags registry, and a
+// reconstruction, version and flag checks, the frame-size cap, and a
 // fixed-seed chi-square check that 8-bit quantization preserves mode
 // recovery (the `statistical` suite).
 //
@@ -82,13 +82,7 @@ TEST(TransferV2, UnquantizedV2RoundTripsExactly) {
     EncodingOptions options;
     options.version = kWireV2;
     options.prior_version = 17;
-    WireInfo info;
-    const dp::MixturePrior decoded =
-        decode_prior(encode_prior(prior, options), nullptr, kMaxWireVersion, &info);
-    EXPECT_EQ(info.version, kWireV2);
-    EXPECT_EQ(info.prior_version, 17u);
-    EXPECT_EQ(info.num_components, 4u);
-    EXPECT_EQ(info.dim, 5u);
+    const dp::MixturePrior decoded = decode_prior(encode_prior(prior, options));
     ASSERT_EQ(decoded.num_components(), prior.num_components());
     for (std::size_t k = 0; k < prior.num_components(); ++k) {
         // Weights re-normalize on decode (a second divide-by-sum), so they
@@ -282,63 +276,9 @@ TEST(TransferV2, DeltaRejectsMissingOrMismatchedBase) {
     const dp::MixturePrior other_dim = make_prior(3, 5, rng2);
     const PriorBase mismatched{&other_dim, 5};
     EXPECT_THROW(decode_prior(frame, &mismatched), std::invalid_argument);
-    EXPECT_FALSE(try_decode_prior(frame).has_value());
 }
 
-// -------------------------------------------------------------- negotiation
-
-TEST(TransferNegotiation, VersionMatrix) {
-    EXPECT_EQ(negotiate_wire_version(1, 1), kWireV1);
-    EXPECT_EQ(negotiate_wire_version(2, 1), kWireV1);
-    EXPECT_EQ(negotiate_wire_version(1, 2), kWireV1);
-    EXPECT_EQ(negotiate_wire_version(2, 2), kWireV2);
-    // A peer advertising a FUTURE version still speaks ours: clamp down.
-    EXPECT_EQ(negotiate_wire_version(7, 2), kWireV2);
-    EXPECT_EQ(negotiate_wire_version(2, 7), kWireV2);
-    // A peer advertising nothing speaks nothing.
-    EXPECT_THROW(negotiate_wire_version(0, 2), std::invalid_argument);
-    EXPECT_THROW(negotiate_wire_version(2, 0), std::invalid_argument);
-}
-
-TEST(TransferNegotiation, V2ServerShedsV2FeaturesForV1OnlyDevice) {
-    EncodingOptions prefs;
-    prefs.version = kWireV2;
-    prefs.quantized = true;
-    prefs.quantization_bits = 8;
-    prefs.delta = true;
-    const EncodingOptions to_v1 = negotiated_options(prefs, kWireV1);
-    EXPECT_EQ(to_v1.version, kWireV1);
-    EXPECT_FALSE(to_v1.quantized);
-    EXPECT_FALSE(to_v1.delta);
-    const EncodingOptions to_v2 = negotiated_options(prefs, kWireV2);
-    EXPECT_EQ(to_v2.version, kWireV2);
-    EXPECT_TRUE(to_v2.quantized);
-    EXPECT_TRUE(to_v2.delta);
-
-    // The shed frame is plain v1 and a v1-only decoder accepts it.
-    stats::Rng rng(9);
-    const dp::MixturePrior prior = make_prior(3, 4, rng);
-    const auto frame = encode_prior(prior, to_v1);
-    EXPECT_NO_THROW(decode_prior(frame, nullptr, kWireV1));
-}
-
-TEST(TransferNegotiation, V1OnlyDecoderRejectsV2PayloadWithClearError) {
-    stats::Rng rng(10);
-    const dp::MixturePrior prior = make_prior(3, 4, rng);
-    EncodingOptions options;
-    options.version = kWireV2;
-    const auto frame = encode_prior(prior, options);
-    try {
-        (void)decode_prior(frame, nullptr, kWireV1);
-        FAIL() << "v1-only decoder accepted a v2 frame";
-    } catch (const std::invalid_argument& e) {
-        // The error must name both sides of the mismatch.
-        const std::string message = e.what();
-        EXPECT_NE(message.find("version 2"), std::string::npos) << message;
-        EXPECT_NE(message.find("maximum 1"), std::string::npos) << message;
-    }
-    EXPECT_FALSE(try_decode_prior(frame, nullptr, kWireV1).has_value());
-}
+// ----------------------------------------------------------------- versions
 
 TEST(TransferNegotiation, UnknownFutureVersionRejected) {
     stats::Rng rng(11);
@@ -350,14 +290,6 @@ TEST(TransferNegotiation, UnknownFutureVersionRejected) {
 }
 
 // ---------------------------------------------------------- flags registry
-
-TEST(TransferFlags, RegistryIsVersioned) {
-    EXPECT_EQ(registered_flags(kWireV1), kFlagFloat32 | kFlagDiagonalOnly);
-    EXPECT_EQ(registered_flags(kWireV2),
-              kFlagFloat32 | kFlagDiagonalOnly | kFlagQuantized | kFlagDelta);
-    EXPECT_THROW(registered_flags(3), std::invalid_argument);
-    EXPECT_THROW(registered_flags(0), std::invalid_argument);
-}
 
 // The regression for the original flags gap: a v1 frame carrying a v2-only
 // bit must be rejected, not decoded with misread geometry.
@@ -409,6 +341,45 @@ TEST(TransferFlags, OptionsValidationRejectsInconsistentSettings) {
     EncodingOptions bad_version;
     bad_version.version = 9;
     EXPECT_THROW(bad_version.validate(), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ frame size cap
+
+// A decode allocates a dense d x d covariance per atom, diagonal-only
+// frames included, so a header alone must not be able to demand more than
+// 2^22 covariance entries. This complete, well-formed float32-diagonal v1
+// frame (533 KB) asks for K * d * d = 1025 * 64 * 64 = 4,198,400 > 2^22
+// and is rejected before its first atom; the encoder refuses the same
+// prior, so no round trip fails in one direction only.
+TEST(TransferCap, RejectsFrameDemandingTooManyCovarianceEntries) {
+    const std::uint32_t num_components = 1025;
+    const std::uint32_t dim = 64;
+    std::vector<std::uint8_t> frame;
+    const auto put = [&frame](const auto value) {
+        std::uint8_t bytes[sizeof(value)];
+        std::memcpy(bytes, &value, sizeof(value));
+        frame.insert(frame.end(), bytes, bytes + sizeof(value));
+    };
+    for (const char c : {'D', 'R', 'E', 'L', 'P', 'R', 'I', 'O'}) put(c);
+    put(kWireV1);
+    put(kFlagFloat32 | kFlagDiagonalOnly);
+    put(num_components);
+    put(dim);
+    for (std::uint32_t k = 0; k < num_components; ++k) {
+        put(1.0);                                            // weight
+        for (std::uint32_t i = 0; i < dim; ++i) put(0.0f);   // mean
+        for (std::uint32_t i = 0; i < dim; ++i) put(1.0f);   // diag(Sigma_k)
+    }
+    ASSERT_EQ(frame.size(), 24u + num_components * (8u + 2u * 4u * dim));
+    EXPECT_THROW(decode_prior(frame), std::invalid_argument);
+
+    std::vector<stats::MultivariateNormal> atoms(
+        num_components, stats::MultivariateNormal::isotropic(linalg::Vector(dim, 0.0), 1.0));
+    const dp::MixturePrior prior(linalg::Vector(num_components, 1.0), std::move(atoms));
+    EncodingOptions options;
+    options.use_float32 = true;
+    options.diagonal_only = true;
+    EXPECT_THROW(encode_prior(prior, options), std::invalid_argument);
 }
 
 // --------------------------------------------------- chi-square mode check
