@@ -10,6 +10,18 @@
 #include "stats/descriptive.hpp"
 
 namespace drel::edgesim {
+namespace {
+
+/// Ridge weight c (l2 = c/n) of each contributor fit.
+constexpr double kContributorL2 = 1.0;
+/// Within-cluster spread Sw = kWithinScale * I. Covers both the device
+/// population's within-mode variance and contributor estimation noise.
+constexpr double kWithinScale = 0.25;
+/// Base covariance S0 = kBaseScale * Cov(theta_hats) + jitter; scales how
+/// permissive the "new device type" escape atom is.
+constexpr double kBaseScale = 2.0;
+
+}  // namespace
 
 void CloudNode::add_contributor_data(models::Dataset data) {
     if (data.empty()) throw std::invalid_argument("CloudNode: empty contributor dataset");
@@ -29,7 +41,7 @@ void CloudNode::fit_contributor_models() {
     optim::LbfgsOptions options;
     options.stopping.max_iterations = 300;
     for (const models::Dataset& data : contributor_data_) {
-        const double l2 = config_.contributor_l2 / static_cast<double>(data.size());
+        const double l2 = kContributorL2 / static_cast<double>(data.size());
         const models::ErmObjective objective(data, *loss, l2);
         contributor_thetas_.push_back(
             optim::minimize_lbfgs(objective, linalg::zeros(data.dim()), options).x);
@@ -69,11 +81,11 @@ dp::MixturePrior CloudNode::fit_prior(stats::Rng& rng) {
     // inflated covariance so novel device types stay plausible.
     const linalg::Vector m0 = stats::mean_rows(contributor_thetas_);
     linalg::Matrix s0 = stats::covariance_rows(contributor_thetas_);
-    s0 *= config_.base_scale;
-    s0.add_diagonal(1e-6 + 0.01 * config_.within_scale);
+    s0 *= kBaseScale;
+    s0.add_diagonal(1e-6 + 0.01 * kWithinScale);
 
     linalg::Matrix sw = linalg::Matrix::identity(d);
-    sw *= config_.within_scale;
+    sw *= kWithinScale;
 
     if (config_.inference == PriorInference::kNigGibbs) {
         dp::NigConfig nig;
@@ -85,7 +97,7 @@ dp::MixturePrior CloudNode::fit_prior(stats::Rng& rng) {
         // data decides each cluster's width).
         double pooled_var = 0.0;
         for (std::size_t j = 0; j < d; ++j) pooled_var += s0(j, j);
-        pooled_var /= static_cast<double>(d) * config_.base_scale;
+        pooled_var /= static_cast<double>(d) * kBaseScale;
         nig.a0 = 2.5;
         nig.b0 = std::max(1e-6, pooled_var * (nig.a0 - 1.0) * 0.5);
         dp::DpmmNigGibbs sampler(contributor_thetas_, std::move(nig));

@@ -22,7 +22,6 @@ std::size_t EdgeDevice::receive_prior(const std::vector<std::uint8_t>& encoded) 
         throw std::invalid_argument("EdgeDevice::receive_prior: prior/data dimension mismatch");
     }
     learner_.emplace(std::move(prior), config_);
-    bytes_received_ += encoded.size();
     static obs::Counter& received = obs::Registry::global().counter("device.priors_received");
     static obs::Counter& bytes =
         obs::Registry::global().counter("device.prior_bytes_received");

@@ -24,8 +24,6 @@ class EdgeDevice {
 
     const std::string& id() const noexcept { return id_; }
     const models::Dataset& local_data() const noexcept { return local_data_; }
-    std::size_t bytes_received() const noexcept { return bytes_received_; }
-    bool has_prior() const noexcept { return learner_.has_value(); }
 
     /// Decodes and installs the cloud prior; returns the payload size.
     /// Throws std::invalid_argument on a malformed payload or dimension
@@ -52,7 +50,6 @@ class EdgeDevice {
     core::EdgeLearnerConfig config_;
     std::optional<core::EdgeLearner> learner_;
     std::optional<core::FitResult> fit_;
-    std::size_t bytes_received_ = 0;
 };
 
 }  // namespace drel::edgesim

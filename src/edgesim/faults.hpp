@@ -93,8 +93,6 @@ struct DeviceFaultDecision {
     bool link_outage = false;
     double corrupt_position = 0.0;  ///< in [0,1): which payload byte to garble
 
-    /// Device completes its round's training (possibly on a fallback path).
-    bool device_completes() const noexcept { return !crash; }
     /// The broadcast prior installs intact this round.
     bool prior_usable() const noexcept { return !prior_corrupt && !link_outage; }
 };

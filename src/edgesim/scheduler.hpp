@@ -59,8 +59,7 @@ class EventQueue {
     /// Virtual time of the last popped event (0 before the first pop).
     double now() const noexcept { return now_; }
 
-    /// Lifetime counters (diagnostics; the engine reports them).
-    std::uint64_t total_scheduled() const noexcept { return next_seq_; }
+    /// Lifetime pop count (diagnostics; the engine reports it).
     std::uint64_t total_popped() const noexcept { return popped_; }
 
     /// Largest queue size ever reached — the PEAK backlog, not a sample.

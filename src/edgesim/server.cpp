@@ -40,14 +40,12 @@ CloudServer::CloudServer(ServerConfig config) : config_(config) { config_.valida
 bool CloudServer::offer(UploadBatch batch, double now) {
     drain_until(now);
     if (queue_.size() >= config_.queue_capacity) {
-        ++rejected_batches_;
         rejected_uploads_ += batch.devices.size();
         static obs::Counter& rejected =
             obs::Registry::global().counter("server.batches_rejected");
         rejected.add(1);
         return false;
     }
-    ++admitted_batches_;
     queue_.push_back({std::move(batch), now});
     static obs::Counter& admitted = obs::Registry::global().counter("server.batches_admitted");
     admitted.add(1);
@@ -67,12 +65,10 @@ void CloudServer::drain_until(double now) {
         const double done = start + config_.service_seconds_per_batch;
         if (done > now) break;
         busy_until_ = done;
-        merged_.merge(head.batch.stats);
         const auto round = static_cast<std::size_t>(head.batch.round);
         for (auto& [device, theta] : head.batch.thetas) {
             serviced_thetas_.push_back({round, device, std::move(theta)});
         }
-        ++serviced_batches_;
         if (round < current_round_) ++serviced_lagged_batches_;
         if (service_wait_histogram_ != nullptr) {
             service_wait_histogram_->observe(

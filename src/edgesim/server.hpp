@@ -1,8 +1,8 @@
 // The cloud as a long-running server loop + the event-driven fleet engine.
 //
 // CloudServer models the ingestion side of the paper's cloud at deployment
-// scale: shard upload batches arrive as mergeable sufficient statistics
-// (shard.hpp), pass ADMISSION CONTROL against a bounded queue, and are
+// scale: shard upload batches carry sufficient statistics (shard.hpp),
+// pass ADMISSION CONTROL against a bounded queue, and are
 // serviced at a configurable rate on the virtual clock. A full queue
 // REJECTS the batch — backpressure — and every device whose upload rode in
 // it is reported as DegradedReason::kBackpressure, never an abort: the same
@@ -97,22 +97,15 @@ class CloudServer {
     bool offer(UploadBatch batch, double now);
 
     /// Services every queued batch whose completion lands at or before
-    /// `now`, merging its statistics (and thetas, if carried).
+    /// `now`, collecting its thetas (if carried).
     void drain_until(double now);
 
     /// Uploads serviced since the last take, sorted by (round, global
     /// device index) — arrival-order independent. Clears the buffer.
     std::vector<std::pair<std::size_t, linalg::Vector>> take_serviced_thetas();
 
-    /// Cumulative statistics over every serviced batch.
-    const UploadStats& merged_stats() const noexcept { return merged_; }
-
     std::size_t queue_depth() const noexcept { return queue_.size(); }
-    double busy_until() const noexcept { return busy_until_; }
-    std::size_t admitted_batches() const noexcept { return admitted_batches_; }
-    std::size_t rejected_batches() const noexcept { return rejected_batches_; }
     std::size_t rejected_uploads() const noexcept { return rejected_uploads_; }
-    std::size_t serviced_batches() const noexcept { return serviced_batches_; }
 
     /// Tells the server which round the virtual clock is in, so drain can
     /// classify a serviced batch as LAGGED (admitted in an earlier round —
@@ -157,12 +150,8 @@ class CloudServer {
     ServerConfig config_;
     std::deque<Pending> queue_;
     double busy_until_ = 0.0;
-    UploadStats merged_;
     std::vector<ServicedTheta> serviced_thetas_;
-    std::size_t admitted_batches_ = 0;
-    std::size_t rejected_batches_ = 0;
     std::size_t rejected_uploads_ = 0;
-    std::size_t serviced_batches_ = 0;
     std::size_t serviced_lagged_batches_ = 0;
     std::size_t queue_high_water_ = 0;
     std::size_t current_round_ = 0;
@@ -225,7 +214,7 @@ struct RoundEndDecision {
 };
 
 /// Called at every kRoundEnd with the drained server; consumes
-/// take_serviced_thetas() / merged_stats() and decides about a re-push.
+/// take_serviced_thetas() and decides about a re-push.
 using RoundEndFn = std::function<RoundEndDecision(std::size_t round, CloudServer& server)>;
 
 struct EngineRoundStats {

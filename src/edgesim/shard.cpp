@@ -44,22 +44,6 @@ void UploadStats::add(const linalg::Vector& theta) {
     ++count;
 }
 
-void UploadStats::merge(const UploadStats& other) {
-    if (other.count == 0) return;
-    if (count == 0) {
-        *this = other;
-        return;
-    }
-    if (other.sum.size() != sum.size()) {
-        throw std::invalid_argument("UploadStats::merge: dimension mismatch");
-    }
-    for (std::size_t i = 0; i < sum.size(); ++i) {
-        sum[i] += other.sum[i];
-        sum_sq[i] += other.sum_sq[i];
-    }
-    count += other.count;
-}
-
 std::size_t UploadStats::encoded_bytes() const noexcept {
     // count (u64) + two double vectors; an empty batch still ships the count.
     return sizeof(std::uint64_t) + 2 * sum.size() * sizeof(double);

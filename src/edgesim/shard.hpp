@@ -66,17 +66,15 @@ struct ShardLayout {
 /// treated as 1; shards beyond the device count come back empty.
 std::vector<ShardLayout> make_shard_layouts(std::size_t devices, std::size_t num_shards);
 
-/// Mergeable sufficient statistics of a set of uploaded parameter vectors:
-/// count, per-coordinate sum and sum of squares. Merging is associative, so
-/// shard batches can be combined in any grouping — what lets the server
-/// ingest batches instead of individual uploads.
+/// Sufficient statistics of a set of uploaded parameter vectors: count,
+/// per-coordinate sum and sum of squares — what lets the server ingest
+/// batches instead of individual uploads.
 struct UploadStats {
     std::size_t count = 0;
     linalg::Vector sum;     ///< Σ theta
     linalg::Vector sum_sq;  ///< Σ theta ⊙ theta
 
     void add(const linalg::Vector& theta);
-    void merge(const UploadStats& other);
 
     /// Wire size of the statistics triple (count + 2 vectors of doubles).
     std::size_t encoded_bytes() const noexcept;

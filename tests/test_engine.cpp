@@ -47,7 +47,6 @@ TEST(EventQueue, PopsInTimeOrder) {
     EXPECT_EQ(queue.pop().kind, EventKind::kUploadArrival);
     EXPECT_EQ(queue.pop().kind, EventKind::kRoundEnd);
     EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(queue.total_scheduled(), 3u);
     EXPECT_EQ(queue.total_popped(), 3u);
 }
 
@@ -241,6 +240,8 @@ TEST(ShardLayout, MoreShardsThanDevicesLeavesEmptyShards) {
 }
 
 TEST(UploadSufficientStats, MergeMatchesDirectAccumulation) {
+    // The server ingests these statistics without merging them; what stays
+    // is add's accumulation and its dimension check.
     stats::Rng rng(7);
     std::vector<linalg::Vector> thetas;
     for (int i = 0; i < 12; ++i) thetas.push_back(rng.standard_normal_vector(4));
@@ -248,19 +249,16 @@ TEST(UploadSufficientStats, MergeMatchesDirectAccumulation) {
     UploadStats direct;
     for (const auto& theta : thetas) direct.add(theta);
 
-    UploadStats left;
-    UploadStats right;
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-        (i < 5 ? left : right).add(thetas[i]);
-    }
-    left.merge(right);
-
-    ASSERT_EQ(left.count, direct.count);
+    ASSERT_EQ(direct.count, thetas.size());
     for (std::size_t i = 0; i < 4; ++i) {
-        // Same-order accumulation within each group; merging is exact for
-        // counts and within double rounding for the sums.
-        EXPECT_NEAR(left.sum[i], direct.sum[i], 1e-12);
-        EXPECT_NEAR(left.sum_sq[i], direct.sum_sq[i], 1e-12);
+        double sum = 0.0;
+        double sum_sq = 0.0;
+        for (const auto& theta : thetas) {
+            sum += theta[i];
+            sum_sq += theta[i] * theta[i];
+        }
+        EXPECT_EQ(direct.sum[i], sum);
+        EXPECT_EQ(direct.sum_sq[i], sum_sq);
     }
     EXPECT_THROW(direct.add(linalg::Vector(3, 0.0)), std::invalid_argument);
 }
