@@ -1,47 +1,8 @@
 #include "dp/crp.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace drel::dp {
-
-std::vector<std::size_t> sample_crp_partition(double alpha, std::size_t n, stats::Rng& rng) {
-    if (!(alpha > 0.0)) throw std::invalid_argument("sample_crp_partition: alpha must be > 0");
-    std::vector<std::size_t> assignments(n);
-    std::vector<double> table_sizes;
-    for (std::size_t i = 0; i < n; ++i) {
-        linalg::Vector weights(table_sizes.begin(), table_sizes.end());
-        weights.push_back(alpha);
-        const std::size_t choice = rng.categorical(weights);
-        assignments[i] = choice;
-        if (choice == table_sizes.size()) {
-            table_sizes.push_back(1.0);
-        } else {
-            table_sizes[choice] += 1.0;
-        }
-    }
-    return assignments;
-}
-
-double expected_table_count(double alpha, std::size_t n) {
-    if (!(alpha > 0.0)) throw std::invalid_argument("expected_table_count: alpha must be > 0");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) acc += alpha / (alpha + static_cast<double>(i));
-    return acc;
-}
-
-std::vector<double> crp_predictive(double alpha, const std::vector<std::size_t>& counts) {
-    if (!(alpha > 0.0)) throw std::invalid_argument("crp_predictive: alpha must be > 0");
-    double total = 0.0;
-    for (const std::size_t c : counts) total += static_cast<double>(c);
-    std::vector<double> probs(counts.size() + 1);
-    const double denom = total + alpha;
-    for (std::size_t k = 0; k < counts.size(); ++k) {
-        probs[k] = static_cast<double>(counts[k]) / denom;
-    }
-    probs.back() = alpha / denom;
-    return probs;
-}
 
 std::size_t count_clusters(const std::vector<std::size_t>& assignments) {
     if (assignments.empty()) return 0;

@@ -1,28 +1,14 @@
 // Chinese Restaurant Process — the partition view of the Dirichlet process.
 //
-// The collapsed Gibbs sampler in dpmm_gibbs.cpp is a CRP sampler with
-// likelihood terms; this header exposes the pure prior-side machinery for
-// tests (exchangeability, expected table counts) and for prior simulation.
+// The collapsed Gibbs samplers in dpmm_gibbs.cpp and dpmm_nig.cpp are CRP
+// samplers with likelihood terms; this header holds the partition helper
+// they share.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "stats/rng.hpp"
-
 namespace drel::dp {
-
-/// Samples a partition of `n` customers from CRP(alpha).
-/// Returns cluster assignments in [0, num_clusters).
-std::vector<std::size_t> sample_crp_partition(double alpha, std::size_t n, stats::Rng& rng);
-
-/// Expected number of occupied tables: sum_{i=0}^{n-1} alpha / (alpha + i).
-double expected_table_count(double alpha, std::size_t n);
-
-/// Prior assignment probabilities for customer n+1 given current table
-/// sizes: existing table k with prob n_k/(n+alpha), new table with prob
-/// alpha/(n+alpha). Returned vector has size counts.size()+1, last entry is
-/// the new-table probability.
-std::vector<double> crp_predictive(double alpha, const std::vector<std::size_t>& counts);
 
 /// Number of occupied clusters in an assignment vector.
 std::size_t count_clusters(const std::vector<std::size_t>& assignments);

@@ -320,16 +320,6 @@ double DpmmGibbs::log_joint() const {
     return lp;
 }
 
-std::vector<DpmmGibbs::ClusterPosterior> DpmmGibbs::cluster_posteriors() const {
-    std::vector<ClusterPosterior> out(counts_.size());
-    for (std::size_t k = 0; k < counts_.size(); ++k) {
-        out[k].count = counts_[k];
-        out[k].covariance = linalg::Matrix(dim_, dim_);
-        posterior_of_mean(counts_[k], sums_[k], out[k].mean, out[k].covariance);
-    }
-    return out;
-}
-
 MixturePrior DpmmGibbs::extract_prior(bool include_base_atom) const {
     const double n = static_cast<double>(observations_.size());
     linalg::Vector weights;

@@ -13,6 +13,8 @@ namespace drel::dp {
 namespace {
 
 constexpr double kLogTwoPi = 1.8378770664093454836;
+/// run() stops once the ELBO improves by at most this fraction.
+constexpr double kElboTolerance = 1e-8;
 
 /// E[log v] and E[log(1-v)] under Beta(g1, g2).
 void beta_expectations(double g1, double g2, double& e_log_v, double& e_log_1mv) {
@@ -77,7 +79,7 @@ int DpmmVariational::run(stats::Rng& rng) {
     for (int it = 1; it <= config_.max_iterations; ++it) {
         const double current = iterate();
         if (std::fabs(current - previous) <=
-            config_.elbo_tolerance * (std::fabs(previous) + 1.0)) {
+            kElboTolerance * (std::fabs(previous) + 1.0)) {
             return it;
         }
         previous = current;

@@ -26,7 +26,6 @@ struct VariationalConfig {
     linalg::Matrix within_covariance;  ///< Sw
     std::size_t truncation = 12;       ///< K
     int max_iterations = 200;
-    double elbo_tolerance = 1e-8;      ///< relative ELBO improvement stop
 };
 
 class DpmmVariational {
@@ -45,9 +44,6 @@ class DpmmVariational {
 
     /// E[pi_k] under the fitted stick posteriors.
     linalg::Vector expected_weights() const;
-
-    /// Posterior mean of mu_k.
-    const linalg::Vector& component_mean(std::size_t k) const { return means_.at(k); }
 
     /// Transferable prior: atoms N(m_k, V_k + Sw), weights E[pi_k];
     /// components with weight below `min_weight` are dropped (and the

@@ -1,27 +1,8 @@
 #include "dp/prior_diagnostics.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace drel::dp {
-
-double heldout_log_score(const MixturePrior& prior,
-                         const std::vector<linalg::Vector>& heldout_thetas) {
-    if (heldout_thetas.empty()) {
-        throw std::invalid_argument("heldout_log_score: no held-out parameters");
-    }
-    double acc = 0.0;
-    for (const linalg::Vector& theta : heldout_thetas) acc += prior.log_pdf(theta);
-    return acc / static_cast<double>(heldout_thetas.size());
-}
-
-double effective_components(const MixturePrior& prior) {
-    double entropy = 0.0;
-    for (const double w : prior.weights()) {
-        if (w > 0.0) entropy -= w * std::log(w);
-    }
-    return std::exp(entropy);
-}
 
 double symmetric_kl_estimate(const MixturePrior& p, const MixturePrior& q,
                              std::size_t num_samples, stats::Rng& rng) {
@@ -40,19 +21,6 @@ double symmetric_kl_estimate(const MixturePrior& p, const MixturePrior& q,
         backward += q.log_pdf(xq) - p.log_pdf(xq);
     }
     return 0.5 * (forward + backward) / static_cast<double>(num_samples);
-}
-
-linalg::Vector map_component_shares(const MixturePrior& prior,
-                                    const std::vector<linalg::Vector>& thetas) {
-    if (thetas.empty()) {
-        throw std::invalid_argument("map_component_shares: no parameters");
-    }
-    linalg::Vector shares(prior.num_components(), 0.0);
-    for (const linalg::Vector& theta : thetas) {
-        shares[prior.map_component(theta)] += 1.0;
-    }
-    linalg::scale(shares, 1.0 / static_cast<double>(thetas.size()));
-    return shares;
 }
 
 }  // namespace drel::dp

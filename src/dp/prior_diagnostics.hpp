@@ -1,27 +1,16 @@
 // Prior quality diagnostics (extension).
 //
-// Before broadcasting a freshly fitted prior to a fleet, the cloud should be
-// able to answer: does this prior actually explain held-out device
-// parameters? how many components carry real mass? how different is it from
-// the previous broadcast (is a re-push worth the bytes)? These are the
-// gauges for that dashboard.
+// Before broadcasting a freshly refitted prior to a fleet, the cloud asks
+// how different it is from the previous broadcast: is a re-push worth the
+// bytes? The lifecycle's re-broadcast trigger answers with this gauge.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "dp/mixture_prior.hpp"
 #include "stats/rng.hpp"
 
 namespace drel::dp {
-
-/// Mean log p(theta) of held-out parameter vectors under the prior — the
-/// cloud-side generalization score (higher is better).
-double heldout_log_score(const MixturePrior& prior,
-                         const std::vector<linalg::Vector>& heldout_thetas);
-
-/// exp(entropy of the weights): "how many components matter" on a 1..K
-/// scale (K for uniform weights, ~1 for a single dominant atom).
-double effective_components(const MixturePrior& prior);
 
 /// Monte-Carlo symmetric KL between two priors over the same space:
 ///   0.5 * E_p[log p - log q] + 0.5 * E_q[log q - log p],
@@ -29,10 +18,5 @@ double effective_components(const MixturePrior& prior);
 /// ~0 when the priors agree. The re-broadcast trigger.
 double symmetric_kl_estimate(const MixturePrior& p, const MixturePrior& q,
                              std::size_t num_samples, stats::Rng& rng);
-
-/// Per-component share of `thetas` claimed by MAP responsibility — flags
-/// dead atoms (share 0) and dominating ones.
-linalg::Vector map_component_shares(const MixturePrior& prior,
-                                    const std::vector<linalg::Vector>& thetas);
 
 }  // namespace drel::dp

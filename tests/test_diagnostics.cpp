@@ -27,25 +27,6 @@ MixturePrior shifted_prior(double shift) {
 
 // -------------------------------------------------------------- diagnostics
 
-TEST(PriorDiagnostics, HeldoutScoreRanksMatchingPriorHigher) {
-    stats::Rng rng(1);
-    const MixturePrior good = tight_prior();
-    const MixturePrior bad = shifted_prior(4.0);
-    std::vector<linalg::Vector> heldout;
-    for (int i = 0; i < 50; ++i) heldout.push_back(good.sample(rng));
-    EXPECT_GT(heldout_log_score(good, heldout), heldout_log_score(bad, heldout) + 1.0);
-    EXPECT_THROW(heldout_log_score(good, {}), std::invalid_argument);
-}
-
-TEST(PriorDiagnostics, EffectiveComponentsBounds) {
-    EXPECT_NEAR(effective_components(tight_prior()), 2.0, 1e-9);
-    std::vector<stats::MultivariateNormal> atoms;
-    atoms.push_back(stats::MultivariateNormal::isotropic({0.0}, 1.0));
-    atoms.push_back(stats::MultivariateNormal::isotropic({1.0}, 1.0));
-    const MixturePrior skewed({0.999, 0.001}, std::move(atoms));
-    EXPECT_LT(effective_components(skewed), 1.05);
-}
-
 TEST(PriorDiagnostics, SymmetricKlZeroForIdenticalGrowsWithShift) {
     stats::Rng rng(2);
     const MixturePrior p = tight_prior();
@@ -55,20 +36,6 @@ TEST(PriorDiagnostics, SymmetricKlZeroForIdenticalGrowsWithShift) {
     const double large = symmetric_kl_estimate(p, shifted_prior(2.0), 400, rng);
     EXPECT_GT(small, self);
     EXPECT_GT(large, small);
-}
-
-TEST(PriorDiagnostics, MapSharesSumToOneAndFindDeadAtoms) {
-    stats::Rng rng(3);
-    const MixturePrior p = tight_prior();
-    // All samples near the first atom only.
-    std::vector<linalg::Vector> thetas;
-    for (int i = 0; i < 40; ++i) {
-        thetas.push_back({5.0 + 0.1 * rng.normal(), 0.1 * rng.normal()});
-    }
-    const linalg::Vector shares = map_component_shares(p, thetas);
-    EXPECT_NEAR(linalg::sum(shares), 1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(shares[0], 1.0);
-    EXPECT_DOUBLE_EQ(shares[1], 0.0);
 }
 
 // ------------------------------------------------------- incremental Gibbs

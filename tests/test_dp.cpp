@@ -32,59 +32,6 @@ using test_support::bits_equal;
 using test_support::hex_bits;
 using test_support::vectors_bits_equal;
 
-// --------------------------------------------------------------------- CRP
-
-TEST(Crp, PartitionCoversAllCustomers) {
-    stats::Rng rng(4);
-    const auto z = sample_crp_partition(1.0, 100, rng);
-    EXPECT_EQ(z.size(), 100u);
-    const std::size_t k = count_clusters(z);
-    EXPECT_GE(k, 1u);
-    // Cluster labels must be contiguous 0..k-1.
-    std::set<std::size_t> labels(z.begin(), z.end());
-    EXPECT_EQ(labels.size(), k);
-    EXPECT_EQ(*labels.rbegin(), k - 1);
-}
-
-TEST(Crp, ExpectedTableCountFormula) {
-    // alpha=1, n=3: 1 + 1/2 + 1/3
-    EXPECT_NEAR(expected_table_count(1.0, 3), 1.0 + 0.5 + 1.0 / 3.0, 1e-12);
-}
-
-TEST(Crp, MonteCarloTableCountMatchesExpectation) {
-    stats::Rng rng(5);
-    const double alpha = 2.0;
-    const std::size_t n = 60;
-    stats::RunningStats tables;
-    for (int t = 0; t < 3000; ++t) {
-        tables.push(static_cast<double>(count_clusters(sample_crp_partition(alpha, n, rng))));
-    }
-    EXPECT_NEAR(tables.mean(), expected_table_count(alpha, n), 0.15);
-}
-
-TEST(Crp, LargerAlphaMakesMoreTables) {
-    stats::Rng rng(6);
-    stats::RunningStats small_alpha;
-    stats::RunningStats large_alpha;
-    for (int t = 0; t < 500; ++t) {
-        small_alpha.push(
-            static_cast<double>(count_clusters(sample_crp_partition(0.2, 80, rng))));
-        large_alpha.push(
-            static_cast<double>(count_clusters(sample_crp_partition(5.0, 80, rng))));
-    }
-    EXPECT_GT(large_alpha.mean(), small_alpha.mean() + 2.0);
-}
-
-TEST(Crp, PredictiveProbabilitiesNormalized) {
-    const auto p = crp_predictive(1.5, {3, 5, 2});
-    EXPECT_EQ(p.size(), 4u);
-    double total = 0.0;
-    for (const double v : p) total += v;
-    EXPECT_NEAR(total, 1.0, 1e-12);
-    EXPECT_NEAR(p[1], 5.0 / 11.5, 1e-12);
-    EXPECT_NEAR(p[3], 1.5 / 11.5, 1e-12);
-}
-
 // ------------------------------------------------------------ mixture prior
 
 MixturePrior two_atom_prior() {
@@ -514,6 +461,24 @@ TEST(DiagonalPredictive, LogPdfMatchesFullCovariancePredictive) {
     }
 }
 
+// --------------------------------------------------------------------- CRP
+
+TEST(Crp, PartitionCoversAllCustomers) {
+    // The Gibbs sampler's CRP partition labels every observation, and its
+    // labels stay contiguous 0..k-1, which count_clusters relies on.
+    stats::Rng rng(4);
+    DpmmGibbs sampler(clustered_observations(rng, 10), dpmm_config());
+    sampler.run(rng);
+    const std::vector<std::size_t>& z = sampler.assignments();
+    EXPECT_EQ(z.size(), 30u);
+    const std::size_t k = count_clusters(z);
+    EXPECT_EQ(k, sampler.num_clusters());
+    std::set<std::size_t> labels(z.begin(), z.end());
+    EXPECT_EQ(labels.size(), k);
+    EXPECT_EQ(*labels.rbegin(), k - 1);
+    EXPECT_EQ(count_clusters({}), 0u);
+}
+
 // -------------------------------------------------------------- DPMM Gibbs
 
 TEST(DpmmGibbs, RecoversThreeClusters) {
@@ -535,10 +500,14 @@ TEST(DpmmGibbs, ClusterPosteriorsNearPlantedCenters) {
     DpmmGibbs sampler(clustered_observations(rng, 20), dpmm_config());
     sampler.run(rng);
     ASSERT_EQ(sampler.num_clusters(), 3u);
-    for (const auto& cp : sampler.cluster_posteriors()) {
-        const double r = linalg::norm2(cp.mean);
+    // Without the escape atom, atom k is cluster k's posterior predictive:
+    // centred on the posterior mean, weighted by its count's share.
+    const MixturePrior prior = sampler.extract_prior(false);
+    ASSERT_EQ(prior.num_components(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+        const double r = linalg::norm2(prior.atom(k).mean());
         EXPECT_NEAR(r, 6.0, 0.5);  // all centers are at radius 6
-        EXPECT_EQ(cp.count, 20u);
+        EXPECT_NEAR(prior.weights()[k], 20.0 / 60.0, 1e-12);
     }
 }
 
