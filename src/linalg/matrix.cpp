@@ -94,17 +94,6 @@ void Matrix::matvec_into(const Vector& x, Vector& out) const {
     }
 }
 
-Vector Matrix::matvec_transposed(const Vector& x) const {
-    if (x.size() != rows_) shape_error("matvec_transposed");
-    Vector out(cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double xr = x[r];
-        if (xr == 0.0) continue;
-        axpy_n(xr, data_.data() + r * cols_, out.data(), cols_);
-    }
-    return out;
-}
-
 Matrix Matrix::matmul(const Matrix& other) const {
     if (cols_ != other.rows_) shape_error("matmul");
     Matrix out(rows_, other.cols_);

@@ -56,8 +56,6 @@ class Matrix {
     Vector matvec(const Vector& x) const;
     /// this * x written into an existing buffer (resized; must not alias x).
     void matvec_into(const Vector& x, Vector& out) const;
-    /// thisᵀ * x
-    Vector matvec_transposed(const Vector& x) const;
     /// this * other
     Matrix matmul(const Matrix& other) const;
 

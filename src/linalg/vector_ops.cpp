@@ -60,13 +60,6 @@ Vector scaled(const Vector& x, double alpha) {
     return out;
 }
 
-Vector hadamard(const Vector& x, const Vector& y) {
-    check_same_size(x, y, "hadamard");
-    Vector out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * y[i];
-    return out;
-}
-
 double sum(const Vector& x) noexcept { return std::accumulate(x.begin(), x.end(), 0.0); }
 
 double norm2(const Vector& x) noexcept {
@@ -84,12 +77,6 @@ double norm2(const Vector& x) noexcept {
         }
     }
     return scale_factor * std::sqrt(ssq);
-}
-
-double norm1(const Vector& x) noexcept {
-    double acc = 0.0;
-    for (const double v : x) acc += std::fabs(v);
-    return acc;
 }
 
 double norm_inf(const Vector& x) noexcept {
@@ -136,27 +123,6 @@ double log_sum_exp(const Vector& x) noexcept {
 void softmax_inplace(Vector& log_weights) {
     const double lse = log_sum_exp(log_weights);
     for (double& v : log_weights) v = std::exp(v - lse);
-}
-
-Vector project_to_simplex(const Vector& x) {
-    if (x.empty()) throw std::invalid_argument("project_to_simplex: empty vector");
-    Vector sorted(x);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    double cumulative = 0.0;
-    double theta = 0.0;
-    std::size_t support = 0;
-    for (std::size_t j = 0; j < sorted.size(); ++j) {
-        cumulative += sorted[j];
-        const double candidate = (cumulative - 1.0) / static_cast<double>(j + 1);
-        if (sorted[j] - candidate > 0.0) {
-            theta = candidate;
-            support = j + 1;
-        }
-    }
-    (void)support;
-    Vector out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::max(0.0, x[i] - theta);
-    return out;
 }
 
 }  // namespace drel::linalg

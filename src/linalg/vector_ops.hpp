@@ -64,17 +64,11 @@ Vector sub(const Vector& x, const Vector& y);
 /// Returns alpha * x.
 Vector scaled(const Vector& x, double alpha);
 
-/// Elementwise product.
-Vector hadamard(const Vector& x, const Vector& y);
-
 /// sum_i x_i
 double sum(const Vector& x) noexcept;
 
 /// Euclidean norm, computed with scaling to avoid overflow.
 double norm2(const Vector& x) noexcept;
-
-/// L1 norm.
-double norm1(const Vector& x) noexcept;
 
 /// max_i |x_i|; 0 for the empty vector.
 double norm_inf(const Vector& x) noexcept;
@@ -97,9 +91,5 @@ double log_sum_exp(const Vector& x) noexcept;
 
 /// Normalizes a vector of log-weights into probabilities, in place.
 void softmax_inplace(Vector& log_weights);
-
-/// Projects x onto the probability simplex {p : p >= 0, sum p = 1}
-/// (Duchi et al. 2008 algorithm, O(n log n)).
-Vector project_to_simplex(const Vector& x);
 
 }  // namespace drel::linalg

@@ -8,6 +8,11 @@
 namespace drel::optim {
 namespace {
 
+constexpr double kInitialRho = 1.0;  ///< augmented-Lagrangian penalty at start
+constexpr double kAbsTolerance = 1e-6;
+constexpr double kRelTolerance = 1e-5;
+constexpr int kSubproblemMaxIterations = 100;
+
 /// f_i(x) + (rho/2) ||x - z + u||² — the ADMM x-update objective.
 class AugmentedTerm final : public Objective {
  public:
@@ -47,10 +52,10 @@ AdmmResult minimize_consensus_admm(const std::vector<const Objective*>& terms,
     result.z = std::move(z0);
     std::vector<linalg::Vector> x(m, result.z);
     std::vector<linalg::Vector> u(m, linalg::zeros(d));
-    double rho = options.rho;
+    double rho = kInitialRho;
 
     LbfgsOptions sub_options;
-    sub_options.stopping.max_iterations = options.subproblem_max_iterations;
+    sub_options.stopping.max_iterations = kSubproblemMaxIterations;
     sub_options.stopping.grad_tolerance = 1e-8;
 
     for (int it = 0; it < options.max_iterations; ++it) {
@@ -85,25 +90,23 @@ AdmmResult minimize_consensus_admm(const std::vector<const Objective*>& terms,
         result.z = std::move(z_new);
 
         const double eps_primal =
-            options.abs_tolerance * std::sqrt(static_cast<double>(m * d)) +
-            options.rel_tolerance * linalg::norm2(result.z) * std::sqrt(static_cast<double>(m));
-        const double eps_dual = options.abs_tolerance * std::sqrt(static_cast<double>(d)) +
-                                options.rel_tolerance * rho * linalg::norm2(u.front());
+            kAbsTolerance * std::sqrt(static_cast<double>(m * d)) +
+            kRelTolerance * linalg::norm2(result.z) * std::sqrt(static_cast<double>(m));
+        const double eps_dual = kAbsTolerance * std::sqrt(static_cast<double>(d)) +
+                                kRelTolerance * rho * linalg::norm2(u.front());
         if (result.primal_residual <= eps_primal && result.dual_residual <= eps_dual) {
             result.converged = true;
             break;
         }
 
-        if (options.adapt_rho) {
-            // Residual balancing (Boyd §3.4.1) keeps primal and dual progress
-            // comparable; rescale the scaled duals when rho changes.
-            if (result.primal_residual > 10.0 * result.dual_residual) {
-                rho *= 2.0;
-                for (auto& ui : u) linalg::scale(ui, 0.5);
-            } else if (result.dual_residual > 10.0 * result.primal_residual) {
-                rho *= 0.5;
-                for (auto& ui : u) linalg::scale(ui, 2.0);
-            }
+        // Residual balancing (Boyd §3.4.1) keeps primal and dual progress
+        // comparable; rescale the scaled duals when rho changes.
+        if (result.primal_residual > 10.0 * result.dual_residual) {
+            rho *= 2.0;
+            for (auto& ui : u) linalg::scale(ui, 0.5);
+        } else if (result.dual_residual > 10.0 * result.primal_residual) {
+            rho *= 0.5;
+            for (auto& ui : u) linalg::scale(ui, 2.0);
         }
     }
     return result;

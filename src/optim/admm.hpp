@@ -15,11 +15,6 @@ namespace drel::optim {
 
 struct AdmmOptions {
     int max_iterations = 200;
-    double rho = 1.0;                  ///< augmented-Lagrangian penalty
-    double abs_tolerance = 1e-6;
-    double rel_tolerance = 1e-5;
-    int subproblem_max_iterations = 100;
-    bool adapt_rho = true;             ///< residual-balancing rho adaptation
 };
 
 struct AdmmResult {
@@ -30,7 +25,8 @@ struct AdmmResult {
     bool converged = false;
 };
 
-/// `terms` must be non-empty and share a common dimension.
+/// `terms` must be non-empty and share a common dimension. The penalty rho
+/// starts at 1 and adapts by residual balancing.
 AdmmResult minimize_consensus_admm(const std::vector<const Objective*>& terms,
                                    linalg::Vector z0, const AdmmOptions& options = {});
 

@@ -19,7 +19,7 @@ OptimResult minimize_gradient_descent(const Objective& objective, linalg::Vector
     result.x = std::move(x0);
     linalg::Vector grad;
     double fx = objective.eval(result.x, &grad);
-    double step_hint = options.initial_step;
+    double step_hint = 1.0;  // the first search starts at a unit step
 
     for (int it = 0; it < options.stopping.max_iterations; ++it) {
         const double gnorm = linalg::norm_inf(grad);
@@ -56,60 +56,6 @@ OptimResult minimize_gradient_descent(const Objective& objective, linalg::Vector
     static obs::Counter& iterations = obs::Registry::global().counter("optim.gd_iterations");
     solves.add(1);
     iterations.add(static_cast<std::uint64_t>(result.iterations));
-    return result;
-}
-
-OptimResult minimize_projected_gradient(const Objective& objective, linalg::Vector x0,
-                                        const Projection& project,
-                                        const ProjectedGradientOptions& options) {
-    if (!project) {
-        throw std::invalid_argument("minimize_projected_gradient: projection must be callable");
-    }
-    OptimResult result;
-    result.x = project(std::move(x0));
-    if (result.x.size() != objective.dim()) {
-        throw std::invalid_argument("minimize_projected_gradient: x0 dimension mismatch");
-    }
-    linalg::Vector grad;
-    double fx = objective.eval(result.x, &grad);
-
-    for (int it = 0; it < options.stopping.max_iterations; ++it) {
-        double step = options.step;
-        bool accepted = false;
-        linalg::Vector candidate;
-        double f_candidate = fx;
-        for (int b = 0; b < options.max_backtracks; ++b) {
-            candidate = result.x;
-            linalg::axpy(-step, grad, candidate);
-            candidate = project(candidate);
-            f_candidate = objective.value(candidate);
-            // Armijo along the projection arc with the natural quadratic bound.
-            const double move_sq =
-                linalg::dot(linalg::sub(candidate, result.x), linalg::sub(candidate, result.x));
-            if (std::isfinite(f_candidate) && f_candidate <= fx - 1e-4 / step * move_sq) {
-                accepted = true;
-                break;
-            }
-            step *= options.shrink;
-        }
-        if (!accepted) {
-            result.message = "projection-arc search failed";
-            break;
-        }
-        const double move = linalg::distance2(candidate, result.x);
-        result.x = std::move(candidate);
-        fx = objective.eval(result.x, &grad);
-        (void)f_candidate;
-        result.iterations = it + 1;
-        if (move <= options.stopping.grad_tolerance) {
-            result.converged = true;
-            result.message = "projected step tolerance reached";
-            break;
-        }
-    }
-    result.value = fx;
-    result.grad_norm = linalg::norm_inf(grad);
-    if (result.message.empty()) result.message = "max iterations reached";
     return result;
 }
 

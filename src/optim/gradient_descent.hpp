@@ -1,11 +1,7 @@
-// (Projected) gradient descent with backtracking line search.
-//
-// Projected GD is the fallback solver for constrained M-steps (e.g. learning
-// the ambiguity-set mixture weights on the simplex); plain GD is kept mostly
-// as a reference implementation the tests compare L-BFGS against.
+// Gradient descent with backtracking line search: the fine-tune baseline's
+// solver (a fixed step budget from the prior mean), and the reference the
+// tests compare L-BFGS against.
 #pragma once
-
-#include <functional>
 
 #include "optim/objective.hpp"
 
@@ -13,26 +9,9 @@ namespace drel::optim {
 
 struct GradientDescentOptions {
     StoppingCriteria stopping;
-    double initial_step = 1.0;
 };
 
 OptimResult minimize_gradient_descent(const Objective& objective, linalg::Vector x0,
                                       const GradientDescentOptions& options = {});
-
-/// Projection onto the feasible set; must be idempotent.
-using Projection = std::function<linalg::Vector(const linalg::Vector&)>;
-
-struct ProjectedGradientOptions {
-    StoppingCriteria stopping;
-    double step = 0.1;                 ///< fixed step (projected arc search shrinks it)
-    double shrink = 0.5;
-    int max_backtracks = 40;
-};
-
-/// Projected gradient with Armijo search along the projection arc.
-/// Convergence is declared on the norm of the projected gradient step.
-OptimResult minimize_projected_gradient(const Objective& objective, linalg::Vector x0,
-                                        const Projection& project,
-                                        const ProjectedGradientOptions& options = {});
 
 }  // namespace drel::optim

@@ -11,6 +11,12 @@
 #include "util/workspace.hpp"
 
 namespace drel::optim {
+namespace {
+
+constexpr double kArmijoC1 = 1e-4;     ///< strong-Wolfe sufficient decrease
+constexpr double kCurvatureC2 = 0.9;   ///< strong-Wolfe curvature
+
+}  // namespace
 
 OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
                            const LbfgsOptions& options) {
@@ -87,8 +93,8 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
 
         const double init_step = count == 0 ? 1.0 / std::max(1.0, linalg::norm2(grad)) : 1.0;
         LineSearchResult ls =
-            strong_wolfe(objective, result.x, fx, grad, *direction, init_step, options.c1,
-                         options.c2, kStrongWolfeMaxEvals, std::move(spare_gradient));
+            strong_wolfe(objective, result.x, fx, grad, *direction, init_step, kArmijoC1,
+                         kCurvatureC2, kStrongWolfeMaxEvals, std::move(spare_gradient));
         if (!ls.success) {
             result.message = "line search failed";
             break;

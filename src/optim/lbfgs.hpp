@@ -13,8 +13,6 @@ namespace drel::optim {
 struct LbfgsOptions {
     StoppingCriteria stopping;
     int history = 10;        ///< number of (s, y) correction pairs kept
-    double c1 = 1e-4;        ///< Armijo constant
-    double c2 = 0.9;         ///< curvature constant
 };
 
 OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,

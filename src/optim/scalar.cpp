@@ -40,52 +40,6 @@ ScalarResult golden_section_minimize(const ScalarFn& f, double lo, double hi,
     return result;
 }
 
-ScalarResult bisect_root(const ScalarFn& f, double lo, double hi, double x_tolerance,
-                         int max_evals) {
-    if (!(lo <= hi)) throw std::invalid_argument("bisect_root: requires lo <= hi");
-    ScalarResult result;
-    double f_lo = f(lo);
-    double f_hi = f(hi);
-    result.evaluations = 2;
-    if (f_lo == 0.0) {
-        result.x = lo;
-        result.converged = true;
-        return result;
-    }
-    if (f_hi == 0.0) {
-        result.x = hi;
-        result.converged = true;
-        return result;
-    }
-    if (f_lo * f_hi > 0.0) {
-        throw std::invalid_argument("bisect_root: endpoints do not bracket a root");
-    }
-    double a = lo;
-    double b = hi;
-    while (b - a > x_tolerance && result.evaluations < max_evals) {
-        const double mid = 0.5 * (a + b);
-        const double f_mid = f(mid);
-        ++result.evaluations;
-        if (f_mid == 0.0) {
-            result.x = mid;
-            result.value = 0.0;
-            result.converged = true;
-            return result;
-        }
-        if (f_lo * f_mid < 0.0) {
-            b = mid;
-        } else {
-            a = mid;
-            f_lo = f_mid;
-        }
-    }
-    result.x = 0.5 * (a + b);
-    result.value = f(result.x);
-    ++result.evaluations;
-    result.converged = (b - a) <= x_tolerance;
-    return result;
-}
-
 ScalarResult minimize_convex_on_ray(const ScalarFn& f, double lo, double initial_width,
                                     double x_tolerance, int max_evals) {
     if (!(initial_width > 0.0)) {

@@ -15,61 +15,10 @@ void check_positive(double v, const char* what) {
 
 }  // namespace
 
-double log_gamma_fn(double x) {
-    check_positive(x, "log_gamma_fn: argument");
-    return std::lgamma(x);
-}
-
 double log_normal_pdf(double x, double mean, double var) {
     check_positive(var, "log_normal_pdf: variance");
     const double d = x - mean;
     return -0.5 * (kLogTwoPi + std::log(var) + d * d / var);
-}
-
-double log_gamma_pdf(double x, double shape, double scale) {
-    check_positive(shape, "log_gamma_pdf: shape");
-    check_positive(scale, "log_gamma_pdf: scale");
-    if (!(x > 0.0)) return -std::numeric_limits<double>::infinity();
-    return (shape - 1.0) * std::log(x) - x / scale - std::lgamma(shape) -
-           shape * std::log(scale);
-}
-
-double log_beta_pdf(double x, double a, double b) {
-    check_positive(a, "log_beta_pdf: a");
-    check_positive(b, "log_beta_pdf: b");
-    if (!(x > 0.0) || !(x < 1.0)) return -std::numeric_limits<double>::infinity();
-    return (a - 1.0) * std::log(x) + (b - 1.0) * std::log1p(-x) + std::lgamma(a + b) -
-           std::lgamma(a) - std::lgamma(b);
-}
-
-double log_multivariate_beta(const linalg::Vector& alpha) {
-    if (alpha.empty()) throw std::invalid_argument("log_multivariate_beta: empty alpha");
-    double sum_alpha = 0.0;
-    double acc = 0.0;
-    for (const double a : alpha) {
-        check_positive(a, "log_multivariate_beta: alpha component");
-        acc += std::lgamma(a);
-        sum_alpha += a;
-    }
-    return acc - std::lgamma(sum_alpha);
-}
-
-double log_dirichlet_pdf(const linalg::Vector& p, const linalg::Vector& alpha) {
-    if (p.size() != alpha.size()) {
-        throw std::invalid_argument("log_dirichlet_pdf: dimension mismatch");
-    }
-    double acc = -log_multivariate_beta(alpha);
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        if (!(p[i] > 0.0)) return -std::numeric_limits<double>::infinity();
-        acc += (alpha[i] - 1.0) * std::log(p[i]);
-    }
-    return acc;
-}
-
-double log_categorical_pmf(std::size_t k, const linalg::Vector& p) {
-    if (k >= p.size()) throw std::out_of_range("log_categorical_pmf: index out of range");
-    if (!(p[k] > 0.0)) return -std::numeric_limits<double>::infinity();
-    return std::log(p[k]);
 }
 
 double log_student_t_pdf(double x, double dof, double loc, double scale) {

@@ -11,28 +11,10 @@ namespace drel::stats {
 /// log N(x; mean, var)
 double log_normal_pdf(double x, double mean, double var);
 
-/// log Gamma(x; shape, scale) with density x^{k-1} e^{-x/s} / (Γ(k) s^k)
-double log_gamma_pdf(double x, double shape, double scale);
-
-/// log Beta(x; a, b)
-double log_beta_pdf(double x, double a, double b);
-
-/// log Dirichlet(p; alpha); `p` must lie in the open simplex.
-double log_dirichlet_pdf(const linalg::Vector& p, const linalg::Vector& alpha);
-
-/// log Categorical(k; p)
-double log_categorical_pmf(std::size_t k, const linalg::Vector& p);
-
 /// log Student-t(x; dof, loc, scale)
 double log_student_t_pdf(double x, double dof, double loc, double scale);
 
-/// log multivariate Beta function: sum lgamma(alpha_i) - lgamma(sum alpha_i)
-double log_multivariate_beta(const linalg::Vector& alpha);
-
 /// Digamma function ψ(x) (needed by variational DP updates).
 double digamma(double x);
-
-/// log Γ(x) via std::lgamma with domain checks.
-double log_gamma_fn(double x);
 
 }  // namespace drel::stats

@@ -169,11 +169,4 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
     return out;
 }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
-    if (k > n) throw std::invalid_argument("Rng::sample_without_replacement: k > n");
-    std::vector<std::size_t> perm = permutation(n);
-    perm.resize(k);
-    return perm;
-}
-
 }  // namespace drel::stats

@@ -78,9 +78,6 @@ class Rng {
     /// Fisher–Yates shuffle of indices [0, n).
     std::vector<std::size_t> permutation(std::size_t n);
 
-    /// Samples `k` distinct indices from [0, n) without replacement.
-    std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
-
  private:
     static constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 

@@ -142,40 +142,12 @@ TEST(Rng, PermutationIsValid) {
     }
 }
 
-TEST(Rng, SampleWithoutReplacementDistinct) {
-    Rng rng(11);
-    const auto s = rng.sample_without_replacement(20, 10);
-    EXPECT_EQ(s.size(), 10u);
-    std::vector<bool> seen(20, false);
-    for (const std::size_t i : s) {
-        EXPECT_FALSE(seen[i]);
-        seen[i] = true;
-    }
-    EXPECT_THROW(rng.sample_without_replacement(3, 5), std::invalid_argument);
-}
-
 // ----------------------------------------------------------- distributions
 
 TEST(Distributions, NormalPdfIntegratesToKnownValue) {
     // At the mean, log pdf = -0.5 log(2 pi var).
     EXPECT_NEAR(log_normal_pdf(0.0, 0.0, 1.0), -0.5 * std::log(2.0 * M_PI), 1e-12);
     EXPECT_NEAR(log_normal_pdf(2.0, 0.0, 1.0), -0.5 * std::log(2.0 * M_PI) - 2.0, 1e-12);
-}
-
-TEST(Distributions, GammaPdfKnownPoint) {
-    // Gamma(1, 1) is Exponential(1): pdf(x) = e^{-x}.
-    EXPECT_NEAR(log_gamma_pdf(2.0, 1.0, 1.0), -2.0, 1e-12);
-    EXPECT_TRUE(std::isinf(log_gamma_pdf(-1.0, 2.0, 1.0)));
-}
-
-TEST(Distributions, BetaPdfSymmetry) {
-    EXPECT_NEAR(log_beta_pdf(0.3, 2.0, 5.0), log_beta_pdf(0.7, 5.0, 2.0), 1e-12);
-    EXPECT_TRUE(std::isinf(log_beta_pdf(0.0, 2.0, 2.0)));
-}
-
-TEST(Distributions, DirichletUniformCase) {
-    // Dirichlet(1,1,1) is uniform on the simplex: pdf = 2! = 2 everywhere.
-    EXPECT_NEAR(log_dirichlet_pdf({0.2, 0.3, 0.5}, {1.0, 1.0, 1.0}), std::log(2.0), 1e-12);
 }
 
 TEST(Distributions, StudentTApproachesNormalForLargeDof) {
