@@ -12,7 +12,6 @@
 //   fine-tune       cloud init + budgeted local gradient steps
 //   map-gaussian    single-Gaussian (moment-matched) MAP transfer
 //   dro-only        ambiguity set, no cloud prior
-//   prior-map       DP prior MAP, ignores local data
 //   em-dro          the full method (wraps core::EdgeLearner)
 #pragma once
 
@@ -60,9 +59,6 @@ std::unique_ptr<Trainer> make_map_gaussian(dp::MixturePrior prior, models::LossK
 /// but no cloud knowledge.
 std::unique_ptr<Trainer> make_dro_only(models::LossKind loss, dro::AmbiguityKind kind,
                                        double radius_coefficient = 0.25);
-
-/// Argmax-density atom of the DP prior; ignores local data entirely.
-std::unique_ptr<Trainer> make_prior_map(dp::MixturePrior prior);
 
 /// The paper's method as a Trainer (wraps core::EdgeLearner).
 std::unique_ptr<Trainer> make_em_dro(dp::MixturePrior prior,

@@ -9,6 +9,9 @@
 namespace drel::core {
 namespace {
 
+/// Evidence temperature: expert weights use exp(-kEvidenceScale * n * R).
+constexpr double kEvidenceScale = 1.0;
+
 /// R(theta) + (w/2) * Mahalanobis^2 to one prior atom — convex.
 class ComponentObjective final : public optim::Objective {
  public:
@@ -69,17 +72,10 @@ double EnsembleModel::accuracy(const models::Dataset& data) const {
     return static_cast<double>(correct) / static_cast<double>(data.size());
 }
 
-const models::LinearModel& EnsembleModel::map_expert() const {
-    return experts_[linalg::argmax(weights_)];
-}
-
 EnsembleEdgeLearner::EnsembleEdgeLearner(dp::MixturePrior prior, EnsembleConfig config)
     : prior_(std::move(prior)), config_(std::move(config)) {
     if (!(config_.transfer_weight >= 0.0)) {
         throw std::invalid_argument("EnsembleEdgeLearner: transfer_weight must be >= 0");
-    }
-    if (!(config_.evidence_scale >= 0.0)) {
-        throw std::invalid_argument("EnsembleEdgeLearner: evidence_scale must be >= 0");
     }
 }
 
@@ -112,7 +108,7 @@ EnsembleModel EnsembleEdgeLearner::fit(const models::Dataset& local_data) const 
         // the fitted expert under its own component (weighted like the
         // training penalty).
         log_evidence[k] = std::log(prior_.weights()[k]) -
-                          config_.evidence_scale * n * robust->value(r.x) +
+                          kEvidenceScale * n * robust->value(r.x) +
                           weight * prior_.atom(k).log_pdf(r.x);
         experts.emplace_back(r.x);
     }

@@ -37,9 +37,6 @@ struct EnsembleConfig {
     double radius_coefficient = 0.25;
     double radius = 0.0;
     double transfer_weight = 1.0;      ///< tau; per-component penalty weight tau/n
-    /// Evidence temperature: weights use exp(-evidence_scale * n * R(theta_k)).
-    /// 1.0 = likelihood-like; smaller = flatter ensemble.
-    double evidence_scale = 1.0;
 };
 
 class EnsembleModel {
@@ -56,9 +53,6 @@ class EnsembleModel {
 
     /// Accuracy on a -1/+1 dataset using the averaged probabilities.
     double accuracy(const models::Dataset& data) const;
-
-    /// Collapses to the highest-weight expert (for byte-constrained deploys).
-    const models::LinearModel& map_expert() const;
 
  private:
     std::vector<models::LinearModel> experts_;

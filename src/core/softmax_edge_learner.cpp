@@ -35,8 +35,7 @@ SoftmaxFitResult SoftmaxEdgeLearner::fit(const models::Dataset& local_data) cons
             ? dro::radius_for_sample_size(config_.radius_coefficient, local_data.size())
             : config_.radius;
     const auto robust = dro::make_softmax_robust_objective(
-        local_data, config_.num_classes, dro::AmbiguitySet{config_.ambiguity, rho},
-        config_.l2);
+        local_data, config_.num_classes, dro::AmbiguitySet{config_.ambiguity, rho});
     const double penalty =
         config_.transfer_weight / static_cast<double>(local_data.size());
     const EmDroSolver solver(*robust, prior_, penalty, config_.em);

@@ -23,7 +23,6 @@ struct SoftmaxEdgeLearnerConfig {
     double radius_coefficient = 0.25;
     double radius = 0.0;            ///< used when auto_radius is false
     double transfer_weight = 1.0;   ///< tau; penalty weight is tau/n
-    double l2 = 0.0;
     EmDroOptions em;
 };
 

@@ -9,6 +9,14 @@
 #include "models/metrics.hpp"
 
 namespace drel::data {
+namespace {
+
+/// Label noise of every scenario's training and test data.
+constexpr double kBaseLabelNoise = 0.02;
+/// Magnitude of the scenario-specific shift (meaning varies per kind).
+constexpr double kShiftMagnitude = 1.0;
+
+}  // namespace
 
 const char* scenario_name(ScenarioKind kind) noexcept {
     switch (kind) {
@@ -26,7 +34,7 @@ Scenario make_scenario_for_task(ScenarioKind kind, const ScenarioConfig& config,
                                 const TaskPopulation& population, const TaskSpec& task,
                                 stats::Rng& rng) {
     DataOptions train_options;
-    train_options.label_noise = config.base_label_noise;
+    train_options.label_noise = kBaseLabelNoise;
     train_options.margin_scale = config.margin_scale;
     DataOptions test_options = train_options;
 
@@ -38,17 +46,17 @@ Scenario make_scenario_for_task(ScenarioKind kind, const ScenarioConfig& config,
             // magnitude; training stays at the nominal distribution.
             linalg::Vector delta = rng.standard_normal_vector(population.feature_dim());
             const double n = linalg::norm2(delta);
-            if (n > 0.0) linalg::scale(delta, config.shift_magnitude / n);
+            if (n > 0.0) linalg::scale(delta, kShiftMagnitude / n);
             test_options.feature_shift = delta;
             break;
         }
         case ScenarioKind::kLabelShift:
             break;  // applied post hoc below (resampling)
         case ScenarioKind::kOutliers:
-            train_options.outlier_fraction = 0.15 * config.shift_magnitude;
+            train_options.outlier_fraction = 0.15 * kShiftMagnitude;
             break;
         case ScenarioKind::kLabelNoise:
-            train_options.label_noise = std::min(0.5, 0.15 * config.shift_magnitude);
+            train_options.label_noise = std::min(0.5, 0.15 * kShiftMagnitude);
             break;
         case ScenarioKind::kRotation:
             break;  // applied post hoc below
@@ -62,19 +70,12 @@ Scenario make_scenario_for_task(ScenarioKind kind, const ScenarioConfig& config,
         s.edge_test = apply_label_shift(s.edge_test, 0.8, rng);
     } else if (kind == ScenarioKind::kRotation) {
         s.edge_test =
-            apply_rotation(s.edge_test, config.shift_magnitude * std::numbers::pi / 6.0);
+            apply_rotation(s.edge_test, kShiftMagnitude * std::numbers::pi / 6.0);
     }
 
     const models::LinearModel oracle(task.theta_star);
     s.bayes_accuracy = models::accuracy(oracle, s.edge_test);
     return s;
-}
-
-Scenario make_scenario(ScenarioKind kind, const ScenarioConfig& config, stats::Rng& rng) {
-    const TaskPopulation population = TaskPopulation::make_synthetic(
-        config.feature_dim, config.num_modes, config.mode_radius, config.within_mode_var, rng);
-    const TaskSpec task = population.sample_task(rng);
-    return make_scenario_for_task(kind, config, population, task, rng);
 }
 
 }  // namespace drel::data

@@ -26,16 +26,9 @@ enum class ScenarioKind {
 const char* scenario_name(ScenarioKind kind) noexcept;
 
 struct ScenarioConfig {
-    std::size_t feature_dim = 8;
-    std::size_t num_modes = 4;
-    double mode_radius = 2.5;
-    double within_mode_var = 0.05;
     std::size_t n_train = 32;
     std::size_t n_test = 4000;
-    double base_label_noise = 0.02;
     double margin_scale = 1.5;
-    /// Magnitude of the scenario-specific shift (meaning varies per kind).
-    double shift_magnitude = 1.0;
 };
 
 struct Scenario {
@@ -47,11 +40,9 @@ struct Scenario {
     double bayes_accuracy = 1.0;   ///< accuracy of theta* on the test set
 };
 
-/// Builds one scenario; all randomness flows through `rng`.
-Scenario make_scenario(ScenarioKind kind, const ScenarioConfig& config, stats::Rng& rng);
-
-/// Builds a scenario reusing an existing population and task — used when the
-/// same cloud prior must be evaluated across several conditions.
+/// Builds a scenario for an existing population and task — the same cloud
+/// prior is evaluated across several conditions. All randomness flows
+/// through `rng`.
 Scenario make_scenario_for_task(ScenarioKind kind, const ScenarioConfig& config,
                                 const TaskPopulation& population, const TaskSpec& task,
                                 stats::Rng& rng);

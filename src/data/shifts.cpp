@@ -43,28 +43,6 @@ models::Dataset apply_rotation(const models::Dataset& d, double angle) {
     return models::Dataset(std::move(f), d.labels());
 }
 
-models::Dataset apply_feature_scale(const models::Dataset& d, double factor) {
-    const std::size_t nb = non_bias_dim(d);
-    linalg::Matrix f(d.size(), d.dim());
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        linalg::Vector row = d.feature_row(i);
-        for (std::size_t c = 0; c < nb; ++c) row[c] *= factor;
-        f.set_row(i, row);
-    }
-    return models::Dataset(std::move(f), d.labels());
-}
-
-models::Dataset apply_label_noise(const models::Dataset& d, double flip_prob, stats::Rng& rng) {
-    if (!(flip_prob >= 0.0) || !(flip_prob <= 1.0)) {
-        throw std::invalid_argument("apply_label_noise: flip_prob must be in [0,1]");
-    }
-    linalg::Vector labels = d.labels();
-    for (double& y : labels) {
-        if (rng.uniform() < flip_prob) y = -y;
-    }
-    return models::Dataset(d.features(), std::move(labels));
-}
-
 models::Dataset apply_label_shift(const models::Dataset& d, double positive_fraction,
                                   stats::Rng& rng) {
     if (!(positive_fraction >= 0.0) || !(positive_fraction <= 1.0)) {

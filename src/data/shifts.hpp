@@ -18,12 +18,6 @@ models::Dataset apply_mean_shift(const models::Dataset& d, const linalg::Vector&
 /// a structured covariate shift that no mean-shift can express.
 models::Dataset apply_rotation(const models::Dataset& d, double angle);
 
-/// Scales the non-bias features by `factor`.
-models::Dataset apply_feature_scale(const models::Dataset& d, double factor);
-
-/// Flips each label independently with probability `flip_prob`.
-models::Dataset apply_label_noise(const models::Dataset& d, double flip_prob, stats::Rng& rng);
-
 /// Resamples to a target positive-class fraction (label shift), sampling
 /// with replacement within each class. Throws if a needed class is absent.
 models::Dataset apply_label_shift(const models::Dataset& d, double positive_fraction,

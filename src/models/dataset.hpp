@@ -53,17 +53,6 @@ class Dataset {
     /// Merges two datasets with identical dimensionality.
     static Dataset concatenate(const Dataset& a, const Dataset& b);
 
-    /// Per-feature standardization parameters (mean, stddev).
-    struct Standardizer {
-        linalg::Vector mean;
-        linalg::Vector stddev;   ///< floored at 1e-12
-        linalg::Vector apply_to(const linalg::Vector& x) const;
-        Dataset apply_to(const Dataset& d) const;
-    };
-
-    /// Fits a standardizer on this dataset (typically the training split).
-    Standardizer fit_standardizer() const;
-
     /// Fraction of labels equal to +1 (classification convenience).
     double positive_fraction() const;
 
@@ -71,9 +60,5 @@ class Dataset {
     linalg::Matrix features_;
     linalg::Vector labels_;
 };
-
-/// Appends a constant-1 bias feature to every row (the linear models in this
-/// library fold the intercept into the weight vector).
-Dataset with_bias_feature(const Dataset& d);
 
 }  // namespace drel::models

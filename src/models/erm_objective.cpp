@@ -15,15 +15,10 @@ double ErmObjective::eval(const linalg::Vector& w, linalg::Vector* grad) const {
     if (grad) grad->assign(dim(), 0.0);
 
     const std::size_t n = data_->size();
-    if (example_weights_ && example_weights_->size() != n) {
-        throw std::invalid_argument("ErmObjective: example-weight size mismatch");
-    }
     const std::size_t d = dim();
-    const double uniform = 1.0 / static_cast<double>(n);
+    const double qi = 1.0 / static_cast<double>(n);
     double value = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double qi = example_weights_ ? (*example_weights_)[i] : uniform;
-        if (qi == 0.0) continue;
         const double* xi = data_->feature_row_data(i);
         const double yi = data_->label(i);
         const double score = linalg::dot_n(w.data(), xi, d);

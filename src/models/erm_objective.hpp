@@ -23,13 +23,6 @@ class ErmObjective final : public optim::Objective {
     std::size_t dim() const override { return data_->dim(); }
     double eval(const linalg::Vector& w, linalg::Vector* grad) const override;
 
-    /// Per-example weighted variant used by the chi-square DRO reweighting:
-    /// f(w) = sum_i q_i phi_i(w) + (l2/2)||w||^2 with q on the simplex.
-    /// `weights` is borrowed and may be updated between eval calls.
-    void set_example_weights(const linalg::Vector* weights) noexcept {
-        example_weights_ = weights;
-    }
-
     const Dataset& data() const noexcept { return *data_; }
     const Loss& loss() const noexcept { return *loss_; }
     double l2() const noexcept { return l2_; }
@@ -38,7 +31,6 @@ class ErmObjective final : public optim::Objective {
     const Dataset* data_;
     const Loss* loss_;
     double l2_;
-    const linalg::Vector* example_weights_ = nullptr;
 };
 
 /// Vector of per-example losses phi_i(w) — the DRO duals need the whole

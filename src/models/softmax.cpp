@@ -29,13 +29,6 @@ SoftmaxModel SoftmaxModel::zeros(std::size_t num_classes, std::size_t dim) {
     return SoftmaxModel(num_classes, linalg::Vector(num_classes * dim, 0.0));
 }
 
-linalg::Vector SoftmaxModel::class_weights(std::size_t c) const {
-    if (c >= num_classes_) throw std::out_of_range("SoftmaxModel::class_weights");
-    const std::size_t d = feature_dim();
-    return linalg::Vector(stacked_.begin() + static_cast<std::ptrdiff_t>(c * d),
-                          stacked_.begin() + static_cast<std::ptrdiff_t>((c + 1) * d));
-}
-
 linalg::Vector SoftmaxModel::logits(const linalg::Vector& x) const {
     const std::size_t d = feature_dim();
     if (x.size() != d) throw std::invalid_argument("SoftmaxModel::logits: dimension mismatch");

@@ -43,9 +43,6 @@ class SoftmaxModel {
     }
     const linalg::Vector& stacked() const noexcept { return stacked_; }
 
-    /// Row c of W (a copy).
-    linalg::Vector class_weights(std::size_t c) const;
-
     /// Logits W x.
     linalg::Vector logits(const linalg::Vector& x) const;
 

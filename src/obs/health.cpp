@@ -67,14 +67,8 @@ static_assert(kMembershipColumnNames.size() ==
 
 }  // namespace
 
-const char* const* fleet_column_names() noexcept { return kFleetColumnNames.data(); }
-
 obs::RoundSeries make_fleet_series() {
     return obs::RoundSeries(kFleetColumnNames.data(), kFleetColumnNames.size());
-}
-
-const char* const* membership_column_names() noexcept {
-    return kMembershipColumnNames.data();
 }
 
 obs::RoundSeries make_membership_series() {

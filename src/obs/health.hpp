@@ -75,9 +75,6 @@ enum class FleetCol : std::size_t {
 inline constexpr std::size_t kFleetNumColumns =
     static_cast<std::size_t>(FleetCol::kNumColumns);
 
-/// Static column-name table aligned with FleetCol (index == enum value).
-const char* const* fleet_column_names() noexcept;
-
 /// A RoundSeries carrying the fleet schema.
 obs::RoundSeries make_fleet_series();
 
@@ -116,9 +113,6 @@ enum class MembershipCol : std::size_t {
 
 inline constexpr std::size_t kMembershipNumColumns =
     static_cast<std::size_t>(MembershipCol::kNumColumns);
-
-/// Static column-name table aligned with MembershipCol.
-const char* const* membership_column_names() noexcept;
 
 /// A RoundSeries carrying the membership schema.
 obs::RoundSeries make_membership_series();

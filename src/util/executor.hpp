@@ -1,5 +1,5 @@
-// Shared parallel executor: parallel_for / parallel_for_chunked /
-// parallel_reduce on a lazily-created, process-wide thread pool.
+// Shared parallel executor: parallel_for / parallel_for_chunked on a
+// lazily-created, process-wide thread pool.
 //
 // Design (see DESIGN.md "Concurrency & determinism"):
 //
@@ -26,10 +26,7 @@
 //    iteration therefore returns promptly instead of running out the range.
 //  * Determinism. Iterations write to caller-indexed slots and derive any
 //    randomness from Rng::fork(index), so results are bit-identical at any
-//    thread count. parallel_reduce additionally fixes its chunk grid from
-//    `count` alone and combines partials in ascending chunk order, so the
-//    reduction is bit-identical for ANY num_threads, including the serial
-//    path (which executes the same chunked fold).
+//    thread count.
 #pragma once
 
 #include <algorithm>
@@ -121,34 +118,5 @@ void parallel_for(std::size_t count, std::size_t num_threads,
 /// Chunked variant on the shared global executor.
 void parallel_for_chunked(std::size_t count, std::size_t num_threads, std::size_t grain,
                           const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Deterministic parallel reduction of combine(acc, map(i)) over [0, count).
-///
-/// The chunk grid is a pure function of `count` (never of num_threads): the
-/// range splits into at most kReduceChunks chunks, each runner left-folds
-/// its chunk in index order seeded with `identity`, and the partials are
-/// combined in ascending chunk order. The result is therefore bit-identical
-/// for every num_threads value — the serial path (num_threads <= 1) runs
-/// the exact same chunked fold. Note this is the chunked association, not
-/// the naive left fold: floating-point results may differ from a handwritten
-/// serial loop in the last ulp, but never across thread counts or runs.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce(std::size_t count, T identity, MapFn&& map, CombineFn&& combine,
-                  std::size_t num_threads) {
-    constexpr std::size_t kReduceChunks = 256;
-    if (count == 0) return identity;
-    const std::size_t grain = (count + kReduceChunks - 1) / kReduceChunks;
-    const std::size_t num_chunks = (count + grain - 1) / grain;
-    std::vector<T> partials(num_chunks, identity);
-    Executor::global().parallel_for_chunked(
-        count, num_threads, grain, [&](std::size_t begin, std::size_t end) {
-            T acc = identity;
-            for (std::size_t i = begin; i < end; ++i) acc = combine(std::move(acc), map(i));
-            partials[begin / grain] = std::move(acc);
-        });
-    T total = std::move(identity);
-    for (T& partial : partials) total = combine(std::move(total), std::move(partial));
-    return total;
-}
 
 }  // namespace drel::util

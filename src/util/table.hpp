@@ -23,13 +23,9 @@ class Table {
     static std::string fmt(double value, int precision = 4);
 
     std::size_t num_rows() const noexcept { return rows_.size(); }
-    std::size_t num_cols() const noexcept { return header_.size(); }
 
     /// Renders with column alignment, `|` separators and a rule under the header.
     void print(std::ostream& os) const;
-
-    /// Renders as comma-separated values (for plotting scripts).
-    void print_csv(std::ostream& os) const;
 
  private:
     std::vector<std::string> header_;

@@ -2,9 +2,9 @@
 //
 // The pool is deliberately minimal: fixed worker count, FIFO queue, futures
 // for joining, no work stealing. Higher-level parallel loops (parallel_for,
-// parallel_for_chunked, parallel_reduce) live in util/executor.hpp and run
-// on a shared, lazily-created global instance of this pool so hot paths do
-// not pay thread creation per call.
+// parallel_for_chunked) live in util/executor.hpp and run on a shared,
+// lazily-created global instance of this pool so hot paths do not pay
+// thread creation per call.
 //
 // Shutdown (the destructor or shutdown()) lets workers finish every task
 // already queued, then joins. No future is ever broken.

@@ -84,14 +84,6 @@ TEST(Baselines, DroOnlyProducesSmallerWeightsThanErm) {
     EXPECT_LT(linalg::norm2(dro_model.weights()), linalg::norm2(erm_model.weights()) + 1e-9);
 }
 
-TEST(Baselines, PriorMapIgnoresData) {
-    const Fixture f = make_fixture(7);
-    const auto trainer = make_prior_map(f.prior);
-    const models::LinearModel a = trainer->fit(f.train);
-    const models::LinearModel b = trainer->fit(f.test);
-    EXPECT_NEAR(linalg::distance2(a.weights(), b.weights()), 0.0, 0.0);
-}
-
 TEST(Baselines, EmDroTrainerWrapsEdgeLearner) {
     const Fixture f = make_fixture(8);
     core::EdgeLearnerConfig config;

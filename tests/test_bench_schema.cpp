@@ -73,8 +73,9 @@ void validate_health_block(const obs::JsonValue& health) {
     const obs::JsonValue& series = health.at("series");
     const auto& columns = series.at("columns").as_array();
     ASSERT_EQ(columns.size(), health::kFleetNumColumns);
+    const obs::RoundSeries schema = health::make_fleet_series();
     for (std::size_t c = 0; c < columns.size(); ++c) {
-        EXPECT_EQ(columns[c].as_string(), health::fleet_column_names()[c]);
+        EXPECT_EQ(columns[c].as_string(), schema.column_name(c));
     }
     for (const auto& row : series.at("rows").as_array()) {
         ASSERT_EQ(row.as_array().size(), columns.size());

@@ -88,14 +88,6 @@ TEST(Ensemble, CompetitiveWithPointEstimateOnAverage) {
     EXPECT_GE(ensemble_total / trials, point_total / trials - 0.01);
 }
 
-TEST(Ensemble, MapExpertIsHighestWeight) {
-    const Fixture f = make_fixture(13, 48);
-    const core::EnsembleEdgeLearner learner(f.prior, {});
-    const core::EnsembleModel model = learner.fit(f.train);
-    const auto& map = model.map_expert();
-    EXPECT_EQ(map.dim(), f.train.dim());
-}
-
 TEST(Ensemble, Validation) {
     const Fixture f = make_fixture(14, 10);
     core::EnsembleConfig bad;

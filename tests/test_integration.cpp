@@ -164,7 +164,11 @@ TEST(Integration, ScenarioSuiteEndToEnd) {
     for (const data::ScenarioKind kind :
          {data::ScenarioKind::kIid, data::ScenarioKind::kCovariateShift,
           data::ScenarioKind::kOutliers}) {
-        const data::Scenario scenario = data::make_scenario(kind, config, rng);
+        const data::TaskPopulation population =
+            data::TaskPopulation::make_synthetic(8, 4, 2.5, 0.05, rng);
+        const data::TaskSpec task = population.sample_task(rng);
+        const data::Scenario scenario =
+            data::make_scenario_for_task(kind, config, population, task, rng);
         linalg::Vector weights;
         std::vector<stats::MultivariateNormal> atoms;
         for (const auto& mode : scenario.population.modes()) {

@@ -73,30 +73,6 @@ TEST(Dataset, PushBackGrows) {
     EXPECT_THROW(d.push_back({0.0}, 1.0), std::invalid_argument);
 }
 
-TEST(Dataset, StandardizerZeroMeanUnitVariance) {
-    stats::Rng rng(2);
-    linalg::Matrix f(200, 2);
-    for (std::size_t i = 0; i < 200; ++i) {
-        f(i, 0) = rng.normal(5.0, 3.0);
-        f(i, 1) = rng.normal(-1.0, 0.5);
-    }
-    const Dataset d(std::move(f), linalg::Vector(200, 1.0));
-    const auto standardizer = d.fit_standardizer();
-    const Dataset z = standardizer.apply_to(d);
-    const auto restd = z.fit_standardizer();
-    EXPECT_NEAR(restd.mean[0], 0.0, 1e-10);
-    EXPECT_NEAR(restd.stddev[0], 1.0, 1e-10);
-    EXPECT_NEAR(restd.mean[1], 0.0, 1e-10);
-}
-
-TEST(Dataset, WithBiasFeatureAppendsOnes) {
-    const Dataset raw(linalg::Matrix(2, 2, {1.0, 2.0, 3.0, 4.0}), {1.0, -1.0});
-    const Dataset b = with_bias_feature(raw);
-    EXPECT_EQ(b.dim(), 3u);
-    EXPECT_DOUBLE_EQ(b.feature_row(0)[2], 1.0);
-    EXPECT_DOUBLE_EQ(b.feature_row(1)[2], 1.0);
-}
-
 TEST(Dataset, PositiveFraction) {
     EXPECT_DOUBLE_EQ(tiny_dataset().positive_fraction(), 0.5);
 }
@@ -196,19 +172,6 @@ TEST(ErmObjective, GradientMatchesNumerical) {
         const linalg::Vector numeric = objective.numerical_gradient(theta);
         EXPECT_LT(linalg::distance2(analytic, numeric), 1e-4) << loss->name();
     }
-}
-
-TEST(ErmObjective, WeightedGradientMatchesNumerical) {
-    stats::Rng rng(4);
-    const Dataset d = tiny_dataset();
-    const auto loss = make_logistic_loss();
-    ErmObjective objective(d, *loss);
-    const linalg::Vector weights{0.4, 0.3, 0.2, 0.1};
-    objective.set_example_weights(&weights);
-    const linalg::Vector theta = rng.standard_normal_vector(3);
-    EXPECT_LT(linalg::distance2(objective.gradient(theta),
-                                objective.numerical_gradient(theta)),
-              1e-5);
 }
 
 TEST(ErmObjective, FitSeparatesSeparableData) {

@@ -36,8 +36,6 @@ TEST(SoftmaxModel, ShapeAndAccessors) {
     const SoftmaxModel model(3, linalg::Vector(12, 0.5));
     EXPECT_EQ(model.num_classes(), 3u);
     EXPECT_EQ(model.feature_dim(), 4u);
-    EXPECT_EQ(model.class_weights(2).size(), 4u);
-    EXPECT_THROW(model.class_weights(3), std::out_of_range);
     EXPECT_THROW(SoftmaxModel(1, linalg::Vector(4, 0.0)), std::invalid_argument);
     EXPECT_THROW(SoftmaxModel(3, linalg::Vector(10, 0.0)), std::invalid_argument);
 }

@@ -102,14 +102,6 @@ TEST(Table, RejectsEmptyHeader) {
     EXPECT_THROW(util::Table({}), std::invalid_argument);
 }
 
-TEST(Table, CsvOutput) {
-    util::Table t({"x", "y"});
-    t.add_row({"1", "2"});
-    std::ostringstream os;
-    t.print_csv(os);
-    EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Table, FmtPrecision) {
     EXPECT_EQ(util::Table::fmt(0.123456, 3), "0.123");
     EXPECT_EQ(util::Table::fmt(2.0, 1), "2.0");
@@ -275,26 +267,6 @@ TEST(ParallelForChunked, AutoGrainCoversRangeExactlyOnce) {
         for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelReduce, BitIdenticalAcrossThreadCounts) {
-    // Rounding-sensitive terms: any change in association order would show.
-    const auto map = [](std::size_t i) {
-        return std::sin(static_cast<double>(i) * 0.73) * 1e-3 + 1.0 / (1.0 + static_cast<double>(i));
-    };
-    const auto combine = [](double a, double b) { return a + b; };
-    const double serial = util::parallel_reduce(12345, 0.0, map, combine, 1);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-        const double parallel = util::parallel_reduce(12345, 0.0, map, combine, threads);
-        EXPECT_EQ(serial, parallel) << "threads=" << threads;
-    }
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-    EXPECT_EQ(util::parallel_reduce(
-                  0, 42.0, [](std::size_t) { return 1.0; },
-                  [](double a, double b) { return a + b; }, 4),
-              42.0);
 }
 
 TEST(Executor, LocalInstanceRunsIndependentOfGlobal) {
