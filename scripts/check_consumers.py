@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a library header has no consumer.
+"""Fail when a library header or free function has no consumer.
 
     python3 scripts/check_consumers.py [REPO_ROOT]
 
@@ -8,12 +8,22 @@ src/<module>/<name>.cpp includes it as "<module>/<name>.hpp" from src/,
 bench/, examples/ or perfbench/. Tests do not count. Code nothing consumes
 is deleted rather than carried.
 
-ALLOWLIST names the headers exempt from the rule, each with its reason. An
-entry whose header is gone or has gained a consumer is stale and fails the
-check too, so the list cannot outlive its reasons.
+The same rule holds one level down for free functions. A function declared
+at namespace scope in a src/ header (clang-format puts such a declaration at
+column 0) is consumed when a file in those directories other than its own
+.hpp/.cpp names it, or when its own .hpp/.cpp calls it on an indented line
+(a `name(` inside a function body). Comments and strings do not count.
+Names are matched as identifiers, so a free function that shares its name
+with a consumed one passes. Headers in ALLOWLIST are skipped. Methods and config fields stay
+unchecked: matching them by name alone would mostly find their namesakes.
 
-Exit codes: 0 every header is consumed, 1 some header is not (or the
-allowlist is stale), 2 no src/ under REPO_ROOT.
+ALLOWLIST names the headers exempt from the rule, and FUNCTION_ALLOWLIST the
+functions, each with its reason. An entry whose header or function is gone
+or has gained a consumer is stale and fails the check too, so the lists
+cannot outlive their reasons.
+
+Exit codes: 0 everything is consumed, 1 something is not (or an allowlist
+is stale), 2 no src/ under REPO_ROOT.
 """
 import re
 import sys
@@ -24,22 +34,77 @@ ALLOWLIST = {
         "the scalar reference kernels the linalg tests compare against",
 }
 
+FUNCTION_ALLOWLIST = {
+    ("dro/wasserstein_regression.hpp", "regression_adversary_value"):
+        "the attaining adversary the closed-form regression robust loss is checked against",
+    ("stats/distributions.hpp", "log_normal_pdf"):
+        "the univariate oracle MultivariateNormal::log_pdf is checked against",
+    ("linalg/simd.hpp", "active_backend"):
+        "SIMD backend introspection: the dispatch tests reach every backend through it",
+    ("linalg/simd.hpp", "backend_available"):
+        "SIMD backend introspection: the dispatch tests skip backends the host lacks",
+    ("linalg/simd.hpp", "backend_name"):
+        "SIMD backend introspection: names the forced backend in dispatch test failures",
+    ("linalg/vector_ops.hpp", "distance2"):
+        "the distance the tests measure other functions' vectors by, like max_abs_diff",
+    ("stats/descriptive.hpp", "nearest_rank"):
+        "the sorted-sample oracle nearest_rank_index's selection is checked against",
+    ("util/logging.hpp", "set_log_level"):
+        "DREL_LOG_LEVEL is read only at start-up, so tests set the level through it",
+}
+
 CONSUMER_DIRS = ("src", "bench", "examples", "perfbench")
 SOURCE_SUFFIXES = {".hpp", ".cpp"}
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+# Comments and string literals, which name functions without using them.
+NON_CODE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"', re.DOTALL)
+# A column-0 line that declares or defines a function: a return type, then
+# the name and its opening parenthesis, with no `=` before it.
+DECLARATION = re.compile(r"^(?!(?:class|struct|enum|union|namespace|using|typedef|return|"
+                         r"template|static_assert|extern|friend)\b)[A-Za-z_][^=(;{}]*?"
+                         r"\b([A-Za-z_]\w*)\s*\(")
 
 
-def includers(root):
-    """Maps each quoted include target to the repo-relative files naming it."""
-    found = {}
+def sources(root):
+    """Yields (repo-relative path, text) for every consumer-directory source."""
     for top in CONSUMER_DIRS:
         for path in sorted((root / top).rglob("*")):
-            if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
-                continue
-            rel = path.relative_to(root).as_posix()
-            for target in INCLUDE.findall(path.read_text(errors="replace")):
-                found.setdefault(target, set()).add(rel)
+            if path.suffix in SOURCE_SUFFIXES and path.is_file():
+                yield path.relative_to(root).as_posix(), path.read_text(errors="replace")
+
+
+def includers(files):
+    """Maps each quoted include target to the repo-relative files naming it."""
+    found = {}
+    for rel, text in files.items():
+        for target in INCLUDE.findall(text):
+            found.setdefault(target, set()).add(rel)
     return found
+
+
+def declared_functions(text):
+    """Names of the functions a header declares at namespace scope."""
+    names = []
+    for line in NON_CODE.sub("", text).splitlines():
+        match = DECLARATION.match(line)
+        if match and not match.group(1).startswith("operator") and match.group(1) not in names:
+            names.append(match.group(1))
+    return names
+
+
+def unconsumed_functions(root, files, headers):
+    """Maps (header, function) to False for every declared free function
+    that nothing consumes, True for those consumed."""
+    code = {rel: NON_CODE.sub("", text) for rel, text in files.items()}
+    result = {}
+    for header in headers:
+        own = {"src/" + header, "src/" + header[: -len(".hpp")] + ".cpp"}
+        for name in declared_functions(files["src/" + header]):
+            mention = re.compile(r"\b" + re.escape(name) + r"\b")
+            call = re.compile(r"^[ \t]+[^\n]*\b" + re.escape(name) + r"\s*\(", re.MULTILINE)
+            result[(header, name)] = any(
+                (call if rel in own else mention).search(text) for rel, text in code.items())
+    return result
 
 
 def main(argv):
@@ -48,7 +113,8 @@ def main(argv):
     if not src.is_dir():
         print(f"check_consumers: no src/ under {root}", file=sys.stderr)
         return 2
-    found = includers(root)
+    files = dict(sources(root))
+    found = includers(files)
     headers = sorted(p.relative_to(src).as_posix() for p in src.rglob("*.hpp"))
 
     unconsumed = []
@@ -65,12 +131,25 @@ def main(argv):
         elif header not in unconsumed:
             failures.append(f"{header}: allowlisted but consumed (drop the entry)")
 
+    functions = unconsumed_functions(
+        root, files, [h for h in headers if h not in ALLOWLIST])
+    failures += [f"{h}: {name}() has no consumer outside its own tests"
+                 for (h, name), consumed in sorted(functions.items())
+                 if not consumed and (h, name) not in FUNCTION_ALLOWLIST]
+    for header, name in sorted(FUNCTION_ALLOWLIST):
+        if (header, name) not in functions:
+            failures.append(f"{header}: {name}() allowlisted but not declared there "
+                            "(drop the entry)")
+        elif functions[(header, name)]:
+            failures.append(f"{header}: {name}() allowlisted but consumed (drop the entry)")
+
     if failures:
         for line in failures:
             print(f"check_consumers: {line}")
         return 1
-    print(f"check_consumers: {len(headers)} headers, all consumed "
-          f"({len(ALLOWLIST)} allowlisted)")
+    print(f"check_consumers: {len(headers)} headers and {len(functions)} free functions, "
+          f"all consumed ({len(ALLOWLIST)} headers and {len(FUNCTION_ALLOWLIST)} "
+          "functions allowlisted)")
     return 0
 
 
