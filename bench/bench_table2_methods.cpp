@@ -3,7 +3,7 @@
 // Rows: the 7-method standard suite (+ oracle). Columns: the edge
 // conditions of data/scenarios.hpp. Expect em-dro to be best or tied-best
 // in every column, with the biggest margins under contamination (outliers,
-// label-noise) and shift; cloud-only/prior-map to be flat (data-free);
+// label-noise) and shift; cloud-only to be flat (data-free);
 // local-erm to be the weakest under contamination.
 #include "data/scenarios.hpp"
 
