@@ -89,7 +89,8 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
 
     for (std::size_t i = 0; i < n; ++i) {
         double* x = features.row_data(i);
-        for (std::size_t c = 0; c < d; ++c) x[c] = rng.normal() * options.feature_scale;
+        rng.normals(x, d);
+        for (std::size_t c = 0; c < d; ++c) x[c] *= options.feature_scale;
         if (!options.feature_shift.empty()) {
             linalg::axpy_n(1.0, options.feature_shift.data(), x, d);
         }

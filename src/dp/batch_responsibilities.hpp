@@ -18,6 +18,18 @@
 //   3. accumulate the Mahalanobis quadratics with add_sq and finish each
 //      density from the atom's cached log-determinant.
 //
+// An atom whose Cholesky factor is diagonal (every isotropic or diagonal
+// atom, so the scale fleet's whole prior) skips steps 2-3: coordinate r
+// needs no other coordinate, and one add_sq_residual pass per coordinate
+// accumulates ((theta_r - mu_r) / L(r,r))² with the same subtract, true
+// division, multiply and add. The substitution's off-diagonal passes would
+// add 0 * y_c, which for a finite theta can only flip the sign of a zero
+// before it is squared, so the bits are the same. For a non-finite theta
+// the paths part: a diagonal atom scores each coordinate on its own, so
+// an infinite coordinate gives a quadratic of +inf (log-density -inf) and
+// a NaN gives NaN, where the substitution turns an infinite coordinate
+// into 0 * inf = NaN in every later row.
+//
 // Every inner kernel comes from linalg::simd::active() and is elementwise,
 // so results are bit-identical across SIMD backends (scalar/AVX2/NEON) and
 // independent of how the fleet is sharded or the batch is tiled: each
@@ -31,6 +43,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dp/mixture_prior.hpp"
@@ -71,14 +84,21 @@ class BatchResponsibilities {
 
     /// accuracy_out[i] = 1.0 if the MAP component of theta_i equals
     /// tags[i], else 0.0 — the scale fleet's mode-recovery score for a
-    /// whole shard in one call.
+    /// whole shard in one call. Keeps a running first-max argmax per device
+    /// instead of writing rows, with map_components_into's result.
     void score_match_into(const double* thetas, std::size_t count, const std::size_t* tags,
                           double* accuracy_out, util::Workspace& ws) const;
 
  private:
+    /// q[i] = ||L_k⁻¹(theta_i - mu_k)||² over a dim-major tile `tt` of n
+    /// devices; `xt` is d * n doubles of substitution scratch.
+    void tile_quadratics(std::size_t k, const double* tt, std::size_t n, double* xt,
+                         double* q) const;
+
     const MixturePrior* prior_;
     std::vector<double> log_weights_;  ///< log pi_k, bit-identical to the prior's cache
-    std::vector<double> log_dets_;     ///< log |Sigma_k|
+    std::vector<double> constants_;    ///< d log 2pi + log |Sigma_k|
+    std::vector<std::uint8_t> diagonal_;  ///< atom k's Cholesky factor is diagonal
 };
 
 }  // namespace drel::dp

@@ -50,16 +50,34 @@ std::size_t UploadStats::encoded_bytes() const noexcept {
 }
 
 void RoundSoA::resize(std::size_t devices) {
-    accuracy.assign(devices, 0.0);
-    latency_seconds.assign(devices, 0.0);
-    degraded.assign(devices, DegradedReason::kNone);
-    scored.assign(devices, 0);
-    novel.assign(devices, 0);
-    stale_prior.assign(devices, 0);
-    upload_attempts.assign(devices, 0);
-    upload_delivered.assign(devices, 0);
-    upload_garbled.assign(devices, 0);
-    upload_retries.assign(devices, 0);
+    accuracy.resize(devices);
+    latency_seconds.resize(devices);
+    degraded.resize(devices);
+    scored.resize(devices);
+    novel.resize(devices);
+    stale_prior.resize(devices);
+    upload_attempts.resize(devices);
+    upload_delivered.resize(devices);
+    upload_garbled.resize(devices);
+    upload_retries.resize(devices);
+    reset(0, devices);
+}
+
+void RoundSoA::reset(std::size_t begin, std::size_t end) {
+    const auto clear = [&](auto& column, auto value) {
+        std::fill(column.begin() + static_cast<std::ptrdiff_t>(begin),
+                  column.begin() + static_cast<std::ptrdiff_t>(end), value);
+    };
+    clear(accuracy, 0.0);
+    clear(latency_seconds, 0.0);
+    clear(degraded, DegradedReason::kNone);
+    clear(scored, std::uint8_t{0});
+    clear(novel, std::uint8_t{0});
+    clear(stale_prior, std::uint8_t{0});
+    clear(upload_attempts, std::uint16_t{0});
+    clear(upload_delivered, std::uint8_t{0});
+    clear(upload_garbled, std::uint8_t{0});
+    clear(upload_retries, std::uint32_t{0});
 }
 
 Shard::Shard(ShardLayout layout, std::size_t theta_dim)
@@ -161,6 +179,9 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
             out.batch.devices.push_back(j);
             if (keep_thetas) out.batch.thetas.emplace_back(j, std::move(result.theta));
         }
+        // A theta the batch did not keep goes back to the arena, so a work
+        // callback that takes its theta from it allocates nothing.
+        workspace_->give(std::move(result.theta));
     }
     if (!defer_devices_.empty()) {
         DREL_PROFILE_SCOPE("engine.shard_batch_score");

@@ -119,7 +119,11 @@ struct RoundSoA {
     std::vector<std::uint8_t> upload_garbled;
     std::vector<std::uint32_t> upload_retries;
 
+    /// Sizes every column to `devices` and resets every row.
     void resize(std::size_t devices);
+    /// Resets rows [begin, end) to their defaults (unscored, kNone, zeros):
+    /// the engine resets each shard's rows inside the round-start fan-out.
+    void reset(std::size_t begin, std::size_t end);
     std::size_t size() const noexcept { return degraded.size(); }
 };
 
@@ -168,7 +172,9 @@ using BatchScoreFn = std::function<void(
 /// the lifecycle, cheap prior scoring for the scale bench). `work_rng` is
 /// the device's kWork stream; `ws` is the executing shard's arena. It runs
 /// only for devices that complete: the shard resolves crashed and
-/// straggling cells itself, without calling it.
+/// straggling cells itself, without calling it. The shard gives every
+/// result theta that no upload batch keeps back to `ws` (Workspace::give),
+/// so a callback that takes its theta with `ws.take` allocates nothing.
 using DeviceWork = std::function<DeviceResult(
     std::size_t round, std::size_t device, stats::Rng& work_rng, util::Workspace& ws)>;
 

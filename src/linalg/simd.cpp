@@ -76,7 +76,8 @@ void atom_group_solve_scalar(const double* group, const double* theta, std::size
 constexpr Kernels kScalarTable = {
     Backend::kScalar,    scalar::dot_n,       scalar::dot_stride_n,
     scalar::axpy_n,      scalar::sub_const_n, scalar::div_const_n,
-    scalar::add_sq_n,    atom_group_solve_scalar,
+    scalar::add_sq_n,    scalar::add_sq_residual_n,
+    atom_group_solve_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -146,6 +147,20 @@ __attribute__((target("avx2"))) void add_sq_avx2(const double* x, double* acc,
         _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), _mm256_mul_pd(v, v)));
     }
     for (; i < n; ++i) acc[i] += x[i] * x[i];
+}
+
+__attribute__((target("avx2"))) void add_sq_residual_avx2(const double* x, double c,
+                                                          double d, double* acc,
+                                                          std::size_t n) {
+    const __m256d cv = _mm256_set1_pd(c);
+    const __m256d dv = _mm256_set1_pd(d);
+    std::size_t i = 0;
+    const std::size_t n4 = n & ~static_cast<std::size_t>(3);
+    for (; i < n4; i += 4) {
+        const __m256d r = _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(x + i), cv), dv);
+        _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), _mm256_mul_pd(r, r)));
+    }
+    scalar::add_sq_residual_n(x + i, c, d, acc + i, n - i);
 }
 
 __attribute__((target("avx2"))) inline __m256d product_avx2(const double* x, const double* y) {
@@ -219,7 +234,8 @@ __attribute__((target("avx2"))) void atom_group_solve_avx2(const double* group,
 constexpr Kernels kAvx2Table = {
     Backend::kAvx2, dot_avx2,       scalar::dot_stride_n,
     axpy_avx2,      sub_const_avx2, div_const_avx2,
-    add_sq_avx2,    atom_group_solve_avx2,
+    add_sq_avx2,    add_sq_residual_avx2,
+    atom_group_solve_avx2,
 };
 
 #endif  // DREL_SIMD_X86
@@ -287,12 +303,25 @@ void add_sq_neon(const double* x, double* acc, std::size_t n) {
     for (; i < n; ++i) acc[i] += x[i] * x[i];
 }
 
+void add_sq_residual_neon(const double* x, double c, double d, double* acc, std::size_t n) {
+    const float64x2_t cv = vdupq_n_f64(c);
+    const float64x2_t dv = vdupq_n_f64(d);
+    std::size_t i = 0;
+    const std::size_t n2 = n & ~static_cast<std::size_t>(1);
+    for (; i < n2; i += 2) {
+        const float64x2_t r = vdivq_f64(vsubq_f64(vld1q_f64(x + i), cv), dv);
+        vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), vmulq_f64(r, r)));
+    }
+    scalar::add_sq_residual_n(x + i, c, d, acc + i, n - i);
+}
+
 // The atom kernel runs the scalar emulation here: a 2-wide lane pair would
 // halve the dependent-division chains at best, and no CI leg runs NEON.
 constexpr Kernels kNeonTable = {
     Backend::kNeon, dot_neon,       scalar::dot_stride_n,
     axpy_neon,      sub_const_neon, div_const_neon,
-    add_sq_neon,    atom_group_solve_scalar,
+    add_sq_neon,    add_sq_residual_neon,
+    atom_group_solve_scalar,
 };
 
 #endif  // DREL_SIMD_NEON

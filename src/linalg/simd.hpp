@@ -22,8 +22,8 @@
 // documented few ULPs (tests/test_simd_dispatch.cpp pins the bound); they
 // are typically *more* accurate, being a partial pairwise summation.
 //
-// Elementwise kernels (axpy_n, sub_const_n, div_const_n, add_sq_n) have no
-// cross-element dependence, so they are bit-identical across backends AND
+// Elementwise kernels (axpy_n, sub_const_n, div_const_n, add_sq_n,
+// add_sq_residual_n) have no cross-element dependence, so they are bit-identical across backends AND
 // bit-identical to the reference, provided no TU fuses the multiply and
 // add. The whole project is therefore compiled with -ffp-contract=off
 // (top-level CMakeLists — the scalar kernels below are header-inline) and
@@ -66,6 +66,11 @@ struct Kernels {
     void (*div_const_n)(double* x, double c, std::size_t n);
     /// acc[i] += x[i] * x[i] (elementwise).
     void (*add_sq_n)(const double* x, double* acc, std::size_t n);
+    /// acc[i] += ((x[i] - c) / d)² (elementwise): sub_const_n, div_const_n
+    /// and add_sq_n in one pass, with the same subtract, true division,
+    /// multiply and add, so bit-identical to the three run in turn.
+    void (*add_sq_residual_n)(const double* x, double c, double d, double* acc,
+                              std::size_t n);
     /// Lockstep solves for one packed group of kAtomLanes Gaussian atoms of
     /// dimension d (layout: pack_atom_lane). For each lane j, writes the
     /// forward solve z_j = L_j⁻¹(theta - mean_j) to z[i * kAtomLanes + j]
@@ -163,6 +168,14 @@ inline void div_const_n(double* x, double c, std::size_t n) noexcept {
 
 inline void add_sq_n(const double* x, double* acc, std::size_t n) noexcept {
     for (std::size_t i = 0; i < n; ++i) acc[i] += x[i] * x[i];
+}
+
+inline void add_sq_residual_n(const double* x, double c, double d, double* acc,
+                              std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+        const double r = (x[i] - c) / d;
+        acc[i] += r * r;
+    }
 }
 
 }  // namespace scalar

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace drel::stats {
@@ -45,6 +46,85 @@ std::size_t nearest_rank_index(std::size_t n, double q) {
     const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
     const std::size_t index = rank == 0 ? 0 : rank - 1;
     return std::min(index, n == 0 ? 0 : n - 1);
+}
+
+RankBuckets::RankBuckets(std::size_t num_buckets, double limit)
+    : num_buckets_(num_buckets),
+      per_unit_(static_cast<double>(num_buckets) / limit),
+      last_(static_cast<double>(num_buckets) - 1.0) {
+    if (num_buckets == 0 || !(limit > 0.0)) {
+        throw std::invalid_argument("RankBuckets: needs num_buckets >= 1 and limit > 0");
+    }
+}
+
+void RankBlock::assign(const RankBuckets& buckets, const double* values,
+                       const std::uint8_t* member, std::size_t n, double* grouped) {
+    const std::size_t num_buckets = buckets.size();
+    starts_.assign(num_buckets + 1, 0);
+    grouped_ = grouped;
+    double max = -std::numeric_limits<double>::infinity();
+    // Count bucket b in starts_[b + 1], then prefix-sum into starts.
+    for (std::size_t j = 0; j < n; ++j) {
+        if (member != nullptr && member[j] == 0) continue;
+        const double x = values[j];
+        ++starts_[buckets(x) + 1];
+        if (max < x) max = x;
+    }
+    max_ = max;
+    for (std::size_t b = 0; b < num_buckets; ++b) starts_[b + 1] += starts_[b];
+    next_.assign(starts_.begin(), starts_.end() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+        if (member != nullptr && member[j] == 0) continue;
+        grouped[next_[buckets(values[j])]++] = values[j];
+    }
+}
+
+void select_nearest_ranks(const RankBuckets& buckets, const RankBlock* blocks,
+                          std::size_t num_blocks, const double* qs, std::size_t num_qs,
+                          double* out, std::vector<double>& scratch) {
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < num_blocks; ++s) total += blocks[s].members();
+    const auto in_bucket = [&](std::size_t b) {
+        std::size_t count = 0;
+        for (std::size_t s = 0; s < num_blocks; ++s) count += blocks[s].bucket_count(b);
+        return count;
+    };
+    const std::size_t none = buckets.size();
+    std::size_t bucket = 0;
+    std::size_t below = 0;  // members in buckets before `bucket`
+    std::size_t held = total > 0 ? in_bucket(0) : 0;
+    std::size_t gathered = none;
+    std::size_t from = 0;  // scratch[from, end) holds every rank not yet read
+    for (std::size_t i = 0; i < num_qs; ++i) {
+        if (i > 0 && !(qs[i - 1] <= qs[i])) {
+            throw std::invalid_argument("select_nearest_ranks: qs must be ascending");
+        }
+        const std::size_t k = nearest_rank_index(total, qs[i]);
+        if (total == 0) {
+            out[i] = 0.0;
+            continue;
+        }
+        while (below + held <= k) {
+            below += held;
+            held = in_bucket(++bucket);
+        }
+        if (gathered != bucket) {
+            scratch.clear();
+            for (std::size_t s = 0; s < num_blocks; ++s) {
+                const double* first = blocks[s].bucket_begin(bucket);
+                scratch.insert(scratch.end(), first, first + blocks[s].bucket_count(bucket));
+            }
+            gathered = bucket;
+            from = 0;
+        }
+        // Successive selection inside the bucket: every value right of the
+        // last selected slot is >= it, so the next rank lies there.
+        const std::size_t local = k - below;
+        std::nth_element(scratch.begin() + static_cast<std::ptrdiff_t>(from),
+                         scratch.begin() + static_cast<std::ptrdiff_t>(local), scratch.end());
+        out[i] = scratch[local];
+        from = local;
+    }
 }
 
 double median(linalg::Vector x) { return quantile(std::move(x), 0.5); }

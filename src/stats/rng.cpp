@@ -1,5 +1,6 @@
 #include "stats/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,6 +19,12 @@ std::uint64_t mul_high(std::uint64_t a, std::uint64_t b, std::uint64_t* low) noe
     *low = (middle << 32) | (lo_lo & kMask);
     return hi_hi + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32);
 }
+
+/// Accepted polar pairs drawn before their scales are taken.
+constexpr std::size_t kPolarChunk = 4;
+
+/// The factor that maps an accepted polar pair's (u, v) to two N(0,1).
+double polar_scale(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
 }  // namespace
 
@@ -58,15 +65,36 @@ double Rng::normal() {
     double u = 0.0;
     double v = 0.0;
     double s = 0.0;
-    do {
-        u = 2.0 * uniform() - 1.0;
-        v = 2.0 * uniform() - 1.0;
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double scale = std::sqrt(-2.0 * std::log(s) / s);
+    polar_pair(u, v, s);
+    const double scale = polar_scale(s);
     spare_normal_ = v * scale;
     has_spare_normal_ = true;
     return u * scale;
+}
+
+void Rng::normals(double* out, std::size_t n) {
+    std::size_t i = 0;
+    if (n > 0 && has_spare_normal_) {
+        has_spare_normal_ = false;
+        out[i++] = spare_normal_;
+    }
+    while (i < n) {
+        double u[kPolarChunk];
+        double v[kPolarChunk];
+        double s[kPolarChunk];
+        const std::size_t pairs = std::min(kPolarChunk, (n - i + 1) / 2);
+        for (std::size_t p = 0; p < pairs; ++p) polar_pair(u[p], v[p], s[p]);
+        for (std::size_t p = 0; p < pairs; ++p) s[p] = polar_scale(s[p]);
+        for (std::size_t p = 0; p < pairs; ++p) {
+            out[i++] = u[p] * s[p];
+            if (i < n) {
+                out[i++] = v[p] * s[p];
+            } else {
+                spare_normal_ = v[p] * s[p];
+                has_spare_normal_ = true;
+            }
+        }
+    }
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -156,7 +184,7 @@ linalg::Vector Rng::dirichlet(const linalg::Vector& alpha) {
 
 linalg::Vector Rng::standard_normal_vector(std::size_t n) {
     linalg::Vector out(n);
-    for (double& v : out) v = normal();
+    normals(out.data(), n);
     return out;
 }
 

@@ -53,6 +53,11 @@ class Rng {
     /// N(0,1). Marsaglia polar method; the second variate of each accepted
     /// pair is cached and returned by the next call.
     double normal();
+    /// Writes n successive normal() draws to out[0, n): the same values,
+    /// and the same state afterwards, the cached spare included. It draws
+    /// a chunk of accepted pairs first and then their scales, so the
+    /// logarithms of independent pairs overlap.
+    void normals(double* out, std::size_t n);
     /// N(mean, stddev^2)
     double normal(double mean, double stddev);
 
@@ -87,6 +92,16 @@ class Rng {
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
         x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
         return x ^ (x >> 31);
+    }
+
+    /// One accepted polar pair: (u, v) uniform on the unit disc without its
+    /// centre, and s = u² + v².
+    void polar_pair(double& u, double& v, double& s) {
+        do {
+            u = 2.0 * uniform() - 1.0;
+            v = 2.0 * uniform() - 1.0;
+            s = u * u + v * v;
+        } while (s >= 1.0 || s == 0.0);
     }
 
     /// One xoshiro256** step.

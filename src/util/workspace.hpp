@@ -12,6 +12,11 @@
 //    scoped local, which is the only supported usage pattern.
 //  - A lease's buffer contents are unspecified on acquisition (`vec`) unless
 //    borrowed through `zeros`.
+//  - `take`/`give` serve buffers that must outlive the call that took them
+//    (a lease cannot): `take` returns an owned vector, reusing storage an
+//    earlier `give` handed back. The fleet's scale work callback takes each
+//    device's theta this way, and the shard gives it back once the theta
+//    is scored and counted.
 //  - Workspaces are NOT thread-safe; `Workspace::local()` hands each thread
 //    its own arena, which is what every kernel defaults to. Passing an
 //    explicit Workspace& (the *_ws entry points) exists so tests can prove
@@ -67,10 +72,23 @@ class Workspace {
     /// Borrows a buffer of `n` zeros.
     Lease zeros(std::size_t n);
 
+    /// An owned buffer of `n` doubles, contents unspecified, reusing the
+    /// storage of a vector handed back with `give` when one is held.
+    std::vector<double> take(std::size_t n);
+
+    /// Holds `v`'s storage for a later `take`. At most kMaxGiven vectors
+    /// are held; past that, and for a vector without storage, `v` is
+    /// simply freed.
+    void give(std::vector<double> v);
+
     /// Number of live leases (diagnostic; tests assert it returns to 0).
     std::size_t depth() const noexcept { return live_; }
 
  private:
+    /// Vectors `give` holds at most: the scale fleet has one theta out at
+    /// a time per shard.
+    static constexpr std::size_t kMaxGiven = 4;
+
     friend class Lease;
 
     std::vector<double>* acquire(std::size_t n);
@@ -79,6 +97,7 @@ class Workspace {
     // unique_ptr keeps buffer addresses stable while pool_ itself grows.
     std::vector<std::unique_ptr<std::vector<double>>> pool_;
     std::size_t live_ = 0;
+    std::vector<std::vector<double>> given_;
 };
 
 }  // namespace drel::util

@@ -22,6 +22,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
@@ -259,6 +261,24 @@ TEST(LinalgProperty, MahalanobisWorkspaceReuseVsFreshBitIdentical) {
         EXPECT_EQ(fresh.depth(), 0u);
         EXPECT_EQ(reused.depth(), 0u);
     }
+}
+
+// take/give hand out owned buffers: a taken vector outlives any lease, and
+// the next take reuses the storage a give handed back.
+TEST(LinalgProperty, WorkspaceTakeReusesGivenStorage) {
+    drel::util::Workspace ws;
+    std::vector<double> first = ws.take(8);
+    EXPECT_EQ(first.size(), 8u);
+    const double* storage = first.data();
+    ws.give(std::move(first));
+    std::vector<double> second = ws.take(6);
+    EXPECT_EQ(second.size(), 6u);
+    EXPECT_EQ(second.data(), storage);
+    ws.give(std::vector<double>{});  // nothing to hold
+    std::vector<double> fresh = ws.take(3);
+    EXPECT_EQ(fresh.size(), 3u);
+    EXPECT_NE(fresh.data(), storage);
+    EXPECT_EQ(ws.depth(), 0u);
 }
 
 TEST(LinalgProperty, WorkspaceLeaseDiscipline) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -9,6 +12,7 @@
 #include "stats/distributions.hpp"
 #include "stats/multivariate_normal.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::stats {
 namespace {
@@ -19,6 +23,43 @@ TEST(Rng, DeterministicFromSeed) {
     Rng a(42);
     Rng b(42);
     for (int i = 0; i < 100; ++i) EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
+}
+
+// normals(out, n) is n successive normal() calls: the same values, and the
+// same state afterwards, the cached spare included, so the next uniform()
+// and normal() agree too. Chunks of pairs must not change any of it.
+TEST(Rng, NormalsMatchSuccessiveNormalCalls) {
+    using test_support::bits_equal;
+    for (const bool spare_pending : {false, true}) {
+        for (const std::size_t n : {0, 1, 2, 3, 7, 8, 9, 64}) {
+            Rng batched(500 + n);
+            Rng single(500 + n);
+            if (spare_pending) {
+                ASSERT_TRUE(bits_equal(batched.normal(), single.normal()));
+            }
+            std::vector<double> got(n + 1, 0.25);
+            batched.normals(got.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_TRUE(bits_equal(got[i], single.normal()))
+                    << "n=" << n << " spare=" << spare_pending << " draw " << i;
+            }
+            EXPECT_EQ(got[n], 0.25) << "wrote past n=" << n;
+            EXPECT_TRUE(bits_equal(batched.uniform(), single.uniform())) << "n=" << n;
+            EXPECT_TRUE(bits_equal(batched.normal(), single.normal())) << "n=" << n;
+            EXPECT_TRUE(bits_equal(batched.normal(), single.normal())) << "n=" << n;
+        }
+    }
+    // Back-to-back calls of mixed lengths on one stream.
+    Rng batched(600);
+    Rng single(600);
+    std::vector<double> got(64);
+    for (const std::size_t n : {3, 1, 0, 8, 5, 2, 9, 64, 7}) {
+        batched.normals(got.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(bits_equal(got[i], single.normal())) << "n=" << n << " draw " << i;
+        }
+    }
+    EXPECT_TRUE(bits_equal(batched.uniform(), single.uniform()));
 }
 
 TEST(Rng, ForkedStreamsDiffer) {
@@ -258,6 +299,98 @@ TEST(Descriptive, NearestRankPicksTheCeilRankElement) {
     EXPECT_DOUBLE_EQ(nearest_rank({}, 0.5), 0.0);
     EXPECT_THROW(nearest_rank(sorted, -0.1), std::invalid_argument);
     EXPECT_THROW(nearest_rank(sorted, 1.1), std::invalid_argument);
+}
+
+// select_nearest_ranks over blocks must read what nearest_rank reads from a
+// sorted copy of every block's members, whatever the buckets: ties, a
+// constant sample, one member, values on bucket edges, below 0 and past
+// the clamp, and blocks with non-member holes or no member at all.
+TEST(Descriptive, BucketedNearestRanksMatchSortedCopy) {
+    const std::vector<double> qs = {0.0, 0.01, 0.5, 0.5, 0.99, 0.999, 1.0};
+    Rng rng(4242);
+    const auto check = [&](const std::vector<std::vector<double>>& values,
+                           const std::vector<std::vector<std::uint8_t>>& members,
+                           std::size_t num_buckets, double limit, const std::string& what) {
+        const RankBuckets buckets(num_buckets, limit);
+        std::vector<RankBlock> blocks(values.size());
+        std::vector<std::vector<double>> grouped(values.size());
+        std::vector<double> sorted;
+        for (std::size_t s = 0; s < values.size(); ++s) {
+            grouped[s].assign(values[s].size(), -1.0);
+            const std::uint8_t* member = members[s].empty() ? nullptr : members[s].data();
+            blocks[s].assign(buckets, values[s].data(), member, values[s].size(),
+                             grouped[s].data());
+            for (std::size_t j = 0; j < values[s].size(); ++j) {
+                if (member == nullptr || member[j] != 0) sorted.push_back(values[s][j]);
+            }
+        }
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<double> got(qs.size(), -1.0);
+        std::vector<double> scratch;
+        select_nearest_ranks(buckets, blocks.data(), blocks.size(), qs.data(), qs.size(),
+                             got.data(), scratch);
+        for (std::size_t i = 0; i < qs.size(); ++i) {
+            EXPECT_EQ(got[i], nearest_rank(sorted, qs[i]))
+                << what << " B=" << num_buckets << " q=" << qs[i];
+        }
+        double max = -std::numeric_limits<double>::infinity();
+        for (const RankBlock& block : blocks) max = std::max(max, block.max());
+        if (!sorted.empty()) {
+            EXPECT_EQ(max, sorted.back()) << what << " B=" << num_buckets;
+        }
+    };
+    const auto random_block = [&](std::size_t n, double scale) {
+        std::vector<double> block(n);
+        for (double& v : block) v = scale * rng.uniform();
+        return block;
+    };
+    for (const std::size_t num_buckets : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                          std::size_t{64}, std::size_t{1024}}) {
+        check({random_block(300, 2.0), random_block(1, 2.0), random_block(57, 2.0)},
+              {{}, {}, {}}, num_buckets, 2.0, "random");
+        check({{0.5}}, {{}}, num_buckets, 2.0, "one value");
+        check({std::vector<double>(40, 1.25), std::vector<double>(9, 1.25)}, {{}, {}},
+              num_buckets, 2.0, "all equal");
+        // Ties across blocks and buckets.
+        std::vector<double> ties;
+        for (int i = 0; i < 200; ++i) ties.push_back(0.25 * (i % 5));
+        check({ties, ties}, {{}, {}}, num_buckets, 2.0, "ties");
+        // Every bucket edge k * limit / B, its neighbours, 0, negatives
+        // and values at and past the clamp.
+        std::vector<double> edges = {-3.0, -0.0, 0.0, 2.0, 2.0, 5.0, 1e300};
+        for (std::size_t k = 0; k <= num_buckets; ++k) {
+            const double edge = 2.0 * static_cast<double>(k) / static_cast<double>(num_buckets);
+            edges.push_back(edge);
+            edges.push_back(std::nextafter(edge, -1.0));
+            edges.push_back(std::nextafter(edge, 3.0));
+        }
+        check({edges, random_block(30, 6.0)}, {{}, {}}, num_buckets, 2.0, "edges");
+        // Non-member holes, one block without a member, an empty block.
+        const std::vector<double> a = random_block(120, 3.0);
+        std::vector<std::uint8_t> a_members(a.size());
+        for (std::size_t j = 0; j < a.size(); ++j) a_members[j] = j % 3 == 1 ? 0 : 1;
+        const std::vector<double> b = random_block(20, 3.0);
+        check({a, b, {}}, {a_members, std::vector<std::uint8_t>(b.size(), 0), {}},
+              num_buckets, 2.0, "holes");
+    }
+
+    // No member anywhere: nearest_rank's empty convention.
+    const RankBuckets buckets(8, 1.0);
+    RankBlock empty;
+    const std::vector<double> values = {0.5, 0.75};
+    const std::vector<std::uint8_t> none = {0, 0};
+    std::vector<double> grouped(values.size());
+    empty.assign(buckets, values.data(), none.data(), values.size(), grouped.data());
+    std::vector<double> got(qs.size(), -1.0);
+    std::vector<double> scratch;
+    select_nearest_ranks(buckets, &empty, 1, qs.data(), qs.size(), got.data(), scratch);
+    for (const double v : got) EXPECT_EQ(v, 0.0);
+
+    const double descending[] = {0.9, 0.5};
+    EXPECT_THROW(select_nearest_ranks(buckets, &empty, 1, descending, 2, got.data(), scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(RankBuckets(0, 1.0), std::invalid_argument);
+    EXPECT_THROW(RankBuckets(4, 0.0), std::invalid_argument);
 }
 
 TEST(Descriptive, NearestRankIndexSelectsWhatTheSortReads) {
