@@ -66,6 +66,10 @@ struct FaultConfig {
     int max_upload_attempts = 4;
     double upload_backoff_base_seconds = 0.5;
     double upload_backoff_jitter = 0.1;       ///< +-fraction of each backoff
+    /// Caps the simulated upload retries: the loop stops once the backoffs
+    /// run past it. The fleet engine's `deadline_seconds` caps device
+    /// latencies in the same round, and run_fleet_engine rejects an active
+    /// plan whose value differs from it.
     double round_deadline_seconds = 30.0;
 
     /// Extra stream separation from the simulation seed; two plans with

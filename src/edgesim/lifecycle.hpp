@@ -98,6 +98,8 @@ struct LifecycleConfig {
     std::size_t num_threads = 1;
     std::size_t num_shards = 0;        ///< 0 = one shard per thread
     double round_seconds = 60.0;
+    /// Copied to EngineConfig::deadline_seconds; must equal
+    /// faults.round_deadline_seconds when any fault is on.
     double deadline_seconds = 30.0;
     double uplink_seconds = 0.5;
     ServerConfig server;               ///< cloud admission control knobs

@@ -177,7 +177,11 @@ struct EngineConfig {
     // classic lifecycle semantics of "this round's uploads refresh this
     // round's prior".
     double round_seconds = 60.0;    ///< virtual period between round starts
-    double deadline_seconds = 30.0; ///< device completion deadline
+    /// Device completion deadline: caps healthy latencies, places
+    /// stragglers past it and crashes at it. An active fault plan's
+    /// `FaultConfig::round_deadline_seconds`, which caps the upload
+    /// retries, must equal it; run_fleet_engine throws otherwise.
+    double deadline_seconds = 30.0;
     double uplink_seconds = 0.5;    ///< shard batch -> server transfer time
 
     /// Ship raw thetas in batches (full-fidelity Gibbs refresh). false =
@@ -299,6 +303,10 @@ struct EngineReport {
 /// they missed a broadcast, and the report's telemetry grows a membership
 /// series. nullptr or an inactive plan with no reserved tail reproduces
 /// the fixed-population engine bit for bit.
+///
+/// Throws std::invalid_argument, before any draw, when `config` is invalid
+/// or an active fault plan's round_deadline_seconds differs from
+/// config.deadline_seconds.
 EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& device_root,
                               const FaultPlan& plan, const DeviceWork& work,
                               const RoundEndFn& round_end,
@@ -331,6 +339,8 @@ struct ScaleFleetConfig {
     std::size_t rebroadcast_every = 2;
 
     double round_seconds = 60.0;
+    /// Copied to EngineConfig::deadline_seconds; must equal
+    /// faults.round_deadline_seconds when any fault is on.
     double deadline_seconds = 30.0;
     double uplink_seconds = 0.5;
     ServerConfig server;

@@ -895,6 +895,42 @@ TEST(FleetEngine, ConfigValidationRejectsBadGeometry) {
     EXPECT_THROW(run_small_engine(config), std::invalid_argument);
 }
 
+// The round deadline is one decision: an active fault plan's
+// round_deadline_seconds caps the upload retries, the engine's
+// deadline_seconds caps latencies, and the engine refuses a run where the
+// two differ, before any device draws. An inactive plan never retries, so
+// its value is not checked.
+TEST(FleetEngine, RejectsMismatchedRoundDeadlines) {
+    FaultConfig faults;
+    faults.upload_fail_prob = 0.2;
+    faults.round_deadline_seconds = 20.0;
+    EngineConfig config = small_engine_config();
+    bool worked = false;
+    const stats::Rng root(99);
+    const FaultPlan plan(faults, root);
+    const DeviceWork work = [&](std::size_t, std::size_t, stats::Rng&, util::Workspace&) {
+        worked = true;
+        return DeviceResult{};
+    };
+    const RoundEndFn round_end = [](std::size_t, CloudServer&) { return RoundEndDecision{}; };
+    EXPECT_THROW(run_fleet_engine(config, root.fork(4), plan, work, round_end),
+                 std::invalid_argument);
+    EXPECT_FALSE(worked);
+
+    config.deadline_seconds = 20.0;
+    EXPECT_NO_THROW(run_small_engine(config, faults));
+    FaultConfig inactive;
+    inactive.round_deadline_seconds = 5.0;
+    EXPECT_NO_THROW(run_small_engine(small_engine_config(), inactive));
+
+    ScaleFleetConfig scale;
+    scale.devices_per_round = 16;
+    scale.rounds = 1;
+    scale.faults = faults;
+    stats::Rng rng(7);
+    EXPECT_THROW(run_scale_fleet(scale, rng), std::invalid_argument);
+}
+
 // ------------------------------------------------------------- scale path
 
 TEST(ScaleFleet, SmallRunRecoversModesAndStaysDeterministic) {
