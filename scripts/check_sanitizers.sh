@@ -68,6 +68,16 @@
 # hands each runner the submitting thread's phase path — cross-thread
 # writes and hand-offs the thread and address sanitizers must bless.
 #
+# The batched-draw and tail-selection cases ride along as well
+# (test_stats: Rng.NormalsMatchSuccessiveNormalCalls,
+# Descriptive.BucketedNearestRanksMatchSortedCopy): normals() fills a
+# caller's buffer pair by pair and the bucketed selection scatters each
+# block's members through per-bucket cursors — indexing ASan and UBSan
+# should watch. The scorer pins (SimdDispatch.BatchScorer*), the
+# take/give case (LinalgProperty.WorkspaceTakeReusesGivenStorage) and
+# the deadline check (FleetEngine.RejectsMismatchedRoundDeadlines) match
+# the suites' existing patterns.
+#
 # Usage: scripts/check_sanitizers.sh [jobs]
 set -euo pipefail
 
@@ -87,7 +97,7 @@ for sanitizer in thread address undefined; do
                  test_simd_dispatch test_sampling_stats test_obs test_profiler \
                  test_streaming_posterior test_transfer_v2 \
                  test_optim test_dp test_diagnostics test_linalg \
-                 test_data test_models test_golden_metrics > /dev/null
+                 test_data test_models test_golden_metrics test_stats > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
     # the allocation-free kernels and workspace arenas are exactly the code
     # whose buffer reuse ASan/TSan can falsify. The event-driven engine
@@ -95,7 +105,7 @@ for sanitizer in thread address undefined; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|TaskPopulation|GoldenMetrics|ProfilerTest|Trace\.'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|TaskPopulation|GoldenMetrics|ProfilerTest|Trace\.|NormalsMatchSuccessiveNormalCalls|BucketedNearestRanks'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi
