@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -50,7 +51,18 @@ std::size_t thread_slot() noexcept {
 namespace {
 
 /// Upper-inclusive bucket of `value`; bounds.size() is the overflow bucket.
+/// Every histogram in the library has the powers of two from 1 as bounds,
+/// where the bucket is ceil(log2 value): that bucket is tried first and
+/// kept when its neighbouring bounds confirm it (the overflow bucket's
+/// upper bound counting as infinite), and any other bound set falls back
+/// to the binary search, so the result is the same for every bound set.
 std::size_t bucket_of(const std::vector<std::uint64_t>& bounds, std::uint64_t value) noexcept {
+    const auto guess =
+        static_cast<std::size_t>(value == 0 ? 0 : std::bit_width(value - 1));
+    if (guess <= bounds.size() && (guess == bounds.size() || bounds[guess] >= value) &&
+        (guess == 0 || bounds[guess - 1] < value)) {
+        return guess;
+    }
     return static_cast<std::size_t>(std::lower_bound(bounds.begin(), bounds.end(), value) -
                                     bounds.begin());
 }

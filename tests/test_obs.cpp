@@ -5,8 +5,11 @@
 // test_concurrency.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -137,6 +140,40 @@ TEST(Metrics, HistogramBucketsAreUpperInclusive) {
     EXPECT_EQ(counts[3], 2u);              // 9, 100
     EXPECT_EQ(histogram.count(), 7u);
     EXPECT_EQ(histogram.sum(), 1 + 2 + 3 + 4 + 8 + 9 + 100u);
+
+    // The bucket is found by a bit scan on bounds that double from 1 and by
+    // a binary search otherwise: on every bound set it must be the first
+    // bound at or above the value, as std::lower_bound finds it.
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> values;
+    for (std::uint64_t v = 0; v < (std::uint64_t{1} << 14); ++v) values.push_back(v);
+    for (int k = 14; k < 64; ++k) {
+        const std::uint64_t power = std::uint64_t{1} << k;
+        for (const std::uint64_t v : {power - 1, power, power + 1}) values.push_back(v);
+    }
+    for (const std::uint64_t v : {kMax - 1, kMax}) values.push_back(v);
+    const std::vector<std::vector<std::uint64_t>> bound_sets = {
+        log_spaced_bounds(1, std::uint64_t{1} << 20),
+        log_spaced_bounds(1, kMax),
+        {1, 2, 4, 8, 16, 32, 64},
+        {2, 4, 8},
+        {3, 10, 100},
+        {1, 3, 4, 16},
+        {1, 2, 4, 7, kMax},
+        {},
+    };
+    for (const std::vector<std::uint64_t>& bounds : bound_sets) {
+        HistogramSnapshot snapshot{bounds, std::vector<std::uint64_t>(bounds.size() + 1), 0, 0};
+        for (const std::uint64_t v : values) {
+            const auto expected = static_cast<std::size_t>(
+                std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+            const std::uint64_t before = snapshot.buckets[expected];
+            snapshot.observe(v);
+            ASSERT_EQ(snapshot.buckets[expected], before + 1)
+                << "value " << v << " with " << bounds.size() << " bounds";
+        }
+        EXPECT_EQ(snapshot.count, values.size());
+    }
 }
 
 TEST(Metrics, RegistryHandlesAreStableAndNamed) {
