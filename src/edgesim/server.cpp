@@ -41,7 +41,7 @@ CloudServer::CloudServer(ServerConfig config) : config_(config) { config_.valida
 bool CloudServer::offer(UploadBatch batch, double now) {
     drain_until(now);
     if (queue_.size() >= config_.queue_capacity) {
-        rejected_uploads_ += batch.devices.size();
+        rejected_uploads_ += batch.stats.count;
         static obs::Counter& rejected =
             obs::Registry::global().counter("server.batches_rejected");
         rejected.add(1);
@@ -557,7 +557,7 @@ EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& devi
                 outputs[event.shard].batch = UploadBatch{};
                 EngineRoundStats& stats = report.rounds[round];
                 stats.batch_bytes += batch.on_air_bytes;
-                const std::vector<std::size_t> members = batch.devices;
+                const std::vector<std::size_t> members = std::move(batch.devices);
                 if (!server.offer(std::move(batch), event.time)) {
                     // Rejected at admission: every upload in the batch is
                     // lost to backpressure. Keep any stronger reason the
@@ -794,9 +794,9 @@ ScaleFleetReport run_scale_fleet(const ScaleFleetConfig& config, stats::Rng& rng
         const linalg::Vector& mean = means[mode];
         for (std::size_t r = 0; r < dim; ++r) theta[r] = mean[r] + within_sd * theta[r];
 
-        // Scoring is deferred: the shard hands its whole slice of thetas to
-        // the batched responsibilities kernel in one call after the device
-        // loop, instead of K tiny solves per device here.
+        // Scoring is deferred: the shard hands its thetas to the batched
+        // responsibilities kernel a tile at a time, instead of K tiny
+        // solves per device here.
         result.scored = true;
         result.defer_score = true;
         result.score_tag = mode;

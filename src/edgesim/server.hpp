@@ -93,7 +93,9 @@ class CloudServer {
     /// backpressure (false), then services anything already due again — a
     /// zero-service batch completes at its own arrival instant, so it never
     /// lingers as phantom depth. The caller keeps responsibility for
-    /// marking the rejected batch's devices degraded.
+    /// marking the rejected batch's devices degraded, so it may move
+    /// `batch.devices` out first: rejected_uploads() counts a rejected
+    /// batch by `batch.stats.count`.
     bool offer(UploadBatch batch, double now);
 
     /// Services every queued batch whose completion lands at or before
@@ -291,8 +293,8 @@ struct EngineReport {
 /// the fault plan, and the churn plan are the only randomness sources; the
 /// engine itself never draws. A non-null `batch_score` lets `work` defer
 /// its accuracy (DeviceResult::defer_score): each shard then scores its
-/// whole slice in one call after the device loop — same reports, one
-/// kernel invocation per shard instead of one per device.
+/// slice per tile of dp::BatchResponsibilities::kTileDevices devices —
+/// same reports, one kernel invocation per tile instead of one per device.
 ///
 /// `churn` (when non-null and active, or when config.membership reserves
 /// tail capacity) switches the engine into membership mode: a server-side

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dp/batch_responsibilities.hpp"
 #include "obs/profiler.hpp"
 
 namespace drel::edgesim {
@@ -100,6 +101,13 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
     defer_devices_.clear();
     defer_tags_.clear();
     defer_thetas_.clear();
+    constexpr std::size_t kTile = dp::BatchResponsibilities::kTileDevices;
+    if (batch_score != nullptr) {
+        defer_devices_.reserve(kTile);
+        defer_tags_.reserve(kTile);
+        defer_thetas_.reserve(kTile * theta_dim_);
+        defer_accuracy_.reserve(kTile);
+    }
 
     // device_stream(device_root, round, j, purpose), split at its links:
     // the round link is forked once per shard-round and the device link
@@ -149,9 +157,10 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
         }
 
         // Collect deferred thetas BEFORE the upload block may move the
-        // vector into the batch. Accuracy for these devices is written by
-        // the batch scorer below; the placeholder keeps the slot defined.
-        if (result.defer_score && batch_score != nullptr) {
+        // vector into the batch. Accuracy for these devices is written when
+        // their tile is scored; the placeholder keeps the slot defined.
+        const bool deferred = result.defer_score && batch_score != nullptr;
+        if (deferred) {
             if (result.theta.size() != theta_dim_) {
                 throw std::invalid_argument(
                     "Shard::run_round: defer_score without a populated theta");
@@ -182,17 +191,14 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
         // A theta the batch did not keep goes back to the arena, so a work
         // callback that takes its theta from it allocates nothing.
         workspace_->give(std::move(result.theta));
-    }
-    if (!defer_devices_.empty()) {
-        DREL_PROFILE_SCOPE("engine.shard_batch_score");
-        defer_accuracy_.assign(defer_devices_.size(), 0.0);
-        (*batch_score)(round, defer_tags_.data(), defer_thetas_.data(),
-                       defer_devices_.size(), theta_dim_, defer_accuracy_.data(),
-                       *workspace_);
-        for (std::size_t i = 0; i < defer_devices_.size(); ++i) {
-            soa.accuracy[defer_devices_[i]] = defer_accuracy_[i];
+        // A full tile is scored while its thetas are still in cache. Every
+        // device is scored on its own theta, so where the tiles break never
+        // moves a bit.
+        if (deferred && defer_devices_.size() == kTile) {
+            score_deferred(round, *batch_score, soa);
         }
     }
+    if (!defer_devices_.empty()) score_deferred(round, *batch_score, soa);
 
     out.batch.on_air_bytes = out.batch.stats.count == 0
                                  ? 0
@@ -201,6 +207,19 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
                                                           sizeof(double)
                                                     : 0);
     return out;
+}
+
+void Shard::score_deferred(std::size_t round, const BatchScoreFn& batch_score, RoundSoA& soa) {
+    DREL_PROFILE_SCOPE("engine.shard_batch_score");
+    defer_accuracy_.assign(defer_devices_.size(), 0.0);
+    batch_score(round, defer_tags_.data(), defer_thetas_.data(), defer_devices_.size(),
+                theta_dim_, defer_accuracy_.data(), *workspace_);
+    for (std::size_t i = 0; i < defer_devices_.size(); ++i) {
+        soa.accuracy[defer_devices_[i]] = defer_accuracy_[i];
+    }
+    defer_devices_.clear();
+    defer_tags_.clear();
+    defer_thetas_.clear();
 }
 
 }  // namespace drel::edgesim

@@ -93,6 +93,7 @@ struct UploadBatch {
     std::vector<std::pair<std::size_t, linalg::Vector>> thetas;
     /// Global indices of devices whose upload rode in this batch (delivered
     /// AND usable) — the devices to mark degraded if the batch is rejected.
+    /// Always `stats.count` long.
     std::vector<std::size_t> devices;
     /// Shard -> server transfer cost for this batch on the wire.
     std::size_t on_air_bytes = 0;
@@ -150,9 +151,10 @@ struct DeviceResult {
     double extra_seconds = 0.0;
 
     /// The work callback produced `theta` and `score_tag` but left
-    /// `accuracy` to the shard: after its device loop the shard hands every
-    /// deferred theta to the engine's BatchScoreFn in one call (the batched
-    /// responsibilities kernel). Requires a populated `theta` and
+    /// `accuracy` to the shard: the shard hands the deferred thetas to the
+    /// engine's BatchScoreFn (the batched responsibilities kernel) per tile
+    /// of dp::BatchResponsibilities::kTileDevices devices, and the last
+    /// partial tile after its device loop. Requires a populated `theta` and
     /// `scored == true`; ignored when the engine has no batch scorer.
     bool defer_score = false;
     /// Opaque per-device tag forwarded to the batch scorer (the scale
@@ -160,9 +162,12 @@ struct DeviceResult {
     std::size_t score_tag = 0;
 };
 
-/// Scores `count` deferred devices in one call: `thetas` is a row-major
-/// [count x dim] block in slice order, `tags` the matching score_tags;
-/// writes one accuracy per device into `accuracy_out`. Must be pure and
+/// Scores one tile of `count` deferred devices (1 to
+/// dp::BatchResponsibilities::kTileDevices; a shard calls it once per tile
+/// of its slice): `thetas` is a row-major [count x dim] block in slice
+/// order, `tags` the matching score_tags; writes one accuracy per device
+/// into `accuracy_out`. A device's accuracy must depend on its own row
+/// alone, so the tiling never shows in the output. Must be pure and
 /// thread-safe — shards may invoke it concurrently with their own arenas.
 using BatchScoreFn = std::function<void(
     std::size_t round, const std::size_t* tags, const double* thetas, std::size_t count,
@@ -206,9 +211,10 @@ class Shard {
     /// `deadline_seconds` caps healthy latency draws; stragglers land past
     /// it deterministically, and a crash sits at it without touching any
     /// stream. Devices whose result sets `defer_score` are
-    /// collected and scored by `batch_score` in ONE call after the device
-    /// loop (slice order, so the batch is a pure function of the slice);
-    /// pass nullptr when no work defers.
+    /// collected and scored by `batch_score` per tile: one call each time
+    /// kTileDevices of them have collected, and one for the rest after the
+    /// device loop (slice order, so every tile is a pure function of the
+    /// slice); pass nullptr when no work defers.
     ///
     /// `participating` (when non-null) is the membership mask over GLOBAL
     /// device indices: a 0 slot is skipped entirely — no fault query, no
@@ -228,11 +234,16 @@ class Shard {
     // Behind a pointer so Shard stays movable (arenas are pinned in place).
     std::unique_ptr<util::Workspace> workspace_;
 
-    // Deferred-scoring scratch, reused across rounds (steady-state
-    // allocation-free, like the arena).
+    /// Scores the collected tile, writes its accuracies to their SoA rows
+    /// and empties the deferred scratch.
+    void score_deferred(std::size_t round, const BatchScoreFn& batch_score, RoundSoA& soa);
+
+    // Deferred-scoring scratch: one tile of at most kTileDevices devices,
+    // reserved by the first round that scores and reused after (steady-
+    // state allocation-free, like the arena).
     std::vector<std::size_t> defer_devices_;  ///< global indices, slice order
     std::vector<std::size_t> defer_tags_;
-    std::vector<double> defer_thetas_;        ///< row-major [deferred x dim]
+    std::vector<double> defer_thetas_;        ///< row-major [tile x dim]
     std::vector<double> defer_accuracy_;
 };
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "dp/batch_responsibilities.hpp"
 #include "edgesim/faults.hpp"
 #include "edgesim/scheduler.hpp"
 #include "edgesim/server.hpp"
@@ -549,6 +551,81 @@ TEST(FleetEngine, WorkRunsOnlyForDevicesThatComplete) {
         }
         EXPECT_EQ(report.rounds[round].devices_scored, ran);
         EXPECT_EQ(report.rounds[round].stragglers, round_stragglers);
+    }
+}
+
+TEST(FleetEngine, ShardScoresDeferredDevicesPerTile) {
+    // A shard hands its deferred devices to the batch scorer a tile at a
+    // time: one call per kTileDevices collected devices inside the device
+    // loop, one for the rest after it. The calls must cover exactly the
+    // completing members, in slice order, and every scored row must carry
+    // what the scorer wrote for it, round after round on the same shard.
+    constexpr std::size_t kTile = dp::BatchResponsibilities::kTileDevices;
+    constexpr std::size_t kDevices = 1200;
+    constexpr std::size_t kDim = 3;
+    const stats::Rng root(2026);
+    const stats::Rng device_root = root.fork(4);
+    const FaultPlan plan(FaultConfig::uniform(0.2), root);
+    // Every eighth slot is a non-member, so holes sit within eight slots on
+    // both sides of every tile edge.
+    std::vector<std::uint8_t> participating(kDevices, 1);
+    for (std::size_t j = 5; j < kDevices; j += 8) participating[j] = 0;
+
+    const DeviceWork work = [](std::size_t /*round*/, std::size_t device, stats::Rng& work_rng,
+                               util::Workspace& ws) {
+        DeviceResult result;
+        result.theta = ws.take(kDim);
+        work_rng.normals(result.theta.data(), kDim);
+        result.scored = true;
+        result.defer_score = true;
+        result.score_tag = device;
+        return result;
+    };
+    const auto written = [](std::size_t tag) { return 1.0 + static_cast<double>(tag); };
+    std::vector<std::vector<std::size_t>> calls;  // the tags of each call
+    const BatchScoreFn score = [&](std::size_t /*round*/, const std::size_t* tags,
+                                   const double* /*thetas*/, std::size_t count,
+                                   std::size_t dim, double* accuracy_out,
+                                   util::Workspace& /*ws*/) {
+        EXPECT_EQ(dim, kDim);
+        calls.emplace_back(tags, tags + count);
+        for (std::size_t i = 0; i < count; ++i) accuracy_out[i] = written(tags[i]);
+    };
+
+    Shard shard(ShardLayout{0, 0, kDevices}, kDim);
+    for (std::size_t round = 0; round < 2; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        std::vector<std::size_t> members;
+        for (std::size_t j = 0; j < kDevices; ++j) {
+            const DeviceFaultDecision faults = plan.device_faults(round, j);
+            if (participating[j] != 0 && !faults.crash && !faults.straggler) {
+                members.push_back(j);
+            }
+        }
+        // At least two full tiles score inside the device loop.
+        ASSERT_GT(members.size(), 2 * kTile);
+
+        calls.clear();
+        RoundSoA soa;
+        soa.resize(kDevices);
+        (void)shard.run_round(round, device_root, plan, work, soa, /*deadline_seconds=*/30.0,
+                              /*keep_thetas=*/false, &score, participating.data());
+
+        std::vector<std::size_t> tags;
+        for (const std::vector<std::size_t>& call : calls) {
+            EXPECT_GE(call.size(), 1u);
+            EXPECT_LE(call.size(), kTile);
+            tags.insert(tags.end(), call.begin(), call.end());
+        }
+        EXPECT_EQ(calls.size(), (members.size() + kTile - 1) / kTile);
+        EXPECT_TRUE(std::adjacent_find(tags.begin(), tags.end(),
+                                       std::greater_equal<std::size_t>()) == tags.end());
+        EXPECT_EQ(tags, members);
+        std::vector<std::uint8_t> scored(kDevices, 0);
+        for (const std::size_t j : members) scored[j] = 1;
+        for (std::size_t j = 0; j < kDevices; ++j) {
+            EXPECT_EQ(soa.accuracy[j], scored[j] != 0 ? written(j) : 0.0) << "device " << j;
+        }
     }
 }
 
