@@ -22,8 +22,9 @@ a box that slows down as it heats up penalises both sides alike.
 The script prints every pair's ratio (change / base) of
 cpu_us_per_device_round. Then, for each end-to-end metric of
 BENCHMARK.json, it prints each side's median [quartiles], the ratio of the
-medians, the pairs the change won, and where the change's median sits
-against the metric's bound (directions and bounds come from BENCHMARK.json):
+medians, the pairs the change won and lost, the metric's verdict (below),
+every pair's values, and where the change's median sits against the
+metric's bound (directions and bounds come from BENCHMARK.json):
 
   within      no worse than the base median by more than the bound, taken as
               a fraction of the base median;
@@ -33,12 +34,22 @@ against the metric's bound (directions and bounds come from BENCHMARK.json):
               unless every change run is better than every base run, which
               is within.
 
-Last comes the verdict on cpu_us_per_device_round:
+The verdict, for every metric:
 
   gain        the change is better in at least 9 pairs in 10, and its median
               is better than the base median by more than the base's
               interquartile range;
-  regression  the same rule with the sides swapped;
+  regression  judged from the per-pair ratios, oriented so that a ratio
+              above 1 means the change is worse: the change loses more
+              pairs than a fair coin would (one-sided sign test over the
+              untied pairs, p <= 0.1), and the median ratio lies past 1 by
+              more than the ratios' interquartile range. Each ratio compares
+              two runs made back to back, so a box that drifts over the
+              session moves both sides of a pair alike and widens neither
+              test, where it widens the base's own spread. On synthetic
+              self-pairs with a few per cent of noise it reads
+              "regression" by chance in about 1 % of 10-pair sessions and
+              0.03 % of 20-pair ones;
   none        neither.
 
 Exit status: 0 when every end-to-end metric is within its bound, 1 when one
@@ -60,6 +71,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HEADLINE_METRIC = "cpu_us_per_device_round"
 WARM_UP_SECONDS = 0.1
 WIN_NUMERATOR, WIN_DENOMINATOR = 9, 10
+SIGN_TEST_ALPHA = 0.1
 
 
 def quartiles(values):
@@ -70,13 +82,28 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def sign_test_p(losses, n):
+    """P(X >= losses) for X ~ Binomial(n, 1/2): the one-sided sign test."""
+    return sum(math.comb(n, k) for k in range(losses, n + 1)) / 2 ** n
+
+
+def worse_ratio(base, change, lower_is_better=True):
+    """change / base, inverted for a higher-is-better metric: above 1 is worse."""
+    num, den = (change, base) if lower_is_better else (base, change)
+    if den:
+        return num / den
+    return 1.0 if num == den else math.inf
+
+
 def verdict(pairs, lower_is_better=True):
     """Judges (base, change) pairs of one metric.
 
-    Returns a dict with the pair count, the change's wins, each side's
-    quartiles and the verdict string ("gain", "regression" or "none"). A
-    side wins a pair when its value is strictly better; ties count for
-    neither side.
+    Returns a dict with the pair count, the change's wins and losses, each
+    side's quartiles, the quartiles of the per-pair worse-ratios, the sign
+    test's p-value for the losses, and the verdict string ("gain",
+    "regression" or "none") as the module docstring defines it. A side
+    wins a pair when its value is strictly better; ties count for neither
+    side.
     """
     if not pairs:
         raise ValueError("verdict needs at least one pair")
@@ -91,14 +118,14 @@ def verdict(pairs, lower_is_better=True):
     base_q = quartiles(base)
     change_q = quartiles(change)
     base_iqr = base_q[2] - base_q[0]
-    shift = abs(change_q[1] - base_q[1])
+    ratio_q = quartiles([worse_ratio(b, c, lower_is_better) for b, c in pairs])
+    sign_p = sign_test_p(losses, wins + losses)
     n = len(pairs)
     result = "none"
     if wins * WIN_DENOMINATOR >= WIN_NUMERATOR * n and better(change_q[1], base_q[1]) \
-            and shift > base_iqr:
+            and abs(change_q[1] - base_q[1]) > base_iqr:
         result = "gain"
-    elif losses * WIN_DENOMINATOR >= WIN_NUMERATOR * n and better(base_q[1], change_q[1]) \
-            and shift > base_iqr:
+    elif sign_p <= SIGN_TEST_ALPHA and ratio_q[1] - 1 > ratio_q[2] - ratio_q[0]:
         result = "regression"
     return {
         "pairs": n,
@@ -107,6 +134,8 @@ def verdict(pairs, lower_is_better=True):
         "base_quartiles": base_q,
         "change_quartiles": change_q,
         "base_iqr": base_iqr,
+        "ratio_quartiles": ratio_q,
+        "sign_p": sign_p,
         "verdict": result,
     }
 
@@ -244,25 +273,15 @@ def main():
         status = bound_check(pairs, bound, lower_is_better)
         all_within = all_within and status == "within"
         b, c = judged["base_quartiles"], judged["change_quartiles"]
+        ratio_q = judged["ratio_quartiles"]
         print(f"  {name}: base {b[1]:.6g} [{b[0]:.6g}, {b[2]:.6g}]  "
               f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  "
               f"ratio {c[1] / b[1] if b[1] else float('nan'):.4f}  "
-              f"change better in {judged['wins']}/{judged['pairs']}  "
-              f"{status} bound {bound:g}")
-
-    pairs = [(r["base"][HEADLINE_METRIC], r["change"][HEADLINE_METRIC]) for r in runs]
-    judged = verdict(pairs, metrics[HEADLINE_METRIC][0])
-    ratios = sorted(c / b for b, c in pairs)
-    print(f"{HEADLINE_METRIC}:")
-    for side in ("base", "change"):
-        q1, q2, q3 = judged[f"{side}_quartiles"]
-        print(f"{side:6s} median {q2:.6g}  quartiles [{q1:.6g}, {q3:.6g}]")
-    print(f"median ratio {statistics.median(ratios):.4f}  "
-          f"change won {judged['wins']}/{judged['pairs']} pairs  "
-          f"|median shift| vs base IQR: "
-          f"{abs(judged['change_quartiles'][1] - judged['base_quartiles'][1]):.6g} vs "
-          f"{judged['base_iqr']:.6g}")
-    print(f"verdict: {judged['verdict']}")
+              f"change better in {judged['wins']}/{judged['pairs']}, "
+              f"worse in {judged['losses']} (sign p {judged['sign_p']:.3g})  "
+              f"worse-ratio {ratio_q[1]:.4f} [{ratio_q[0]:.4f}, {ratio_q[2]:.4f}]  "
+              f"verdict {judged['verdict']}  {status} bound {bound:g}")
+        print("    pairs (base/change): " + ", ".join(f"{x:.6g}/{y:.6g}" for x, y in pairs))
     print(f"end-to-end bounds: {'all within' if all_within else 'NOT all within'}")
     return 0 if all_within else 1
 

@@ -3,8 +3,11 @@
 
 The verdict: a gain needs the change to win at least 9 pairs in 10 AND to
 move the median by more than the base's interquartile range; a regression
-is the mirror. The bound check: the change's median may be worse than the
-base's by at most the bound, unless either side spreads wider than it."""
+needs the change to lose more pairs than a fair coin would (one-sided sign
+test, p <= 0.1) AND its median per-pair ratio to lie past 1 by more than
+the ratios' interquartile range. The bound check: the change's median may
+be worse than the base's by at most the bound, unless either side spreads
+wider than it."""
 
 import importlib.util
 import os
@@ -85,6 +88,62 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(perf_ab.verdict(better[:18] + worse[18:])["verdict"], "gain")
         self.assertEqual(perf_ab.verdict(better[:17] + worse[17:])["verdict"], "none")
 
+    def test_small_noise_self_pairs_rarely_read_regression(self):
+        # One build against itself on a box that drifts from 0.38 to 0.49:
+        # each pair's two runs share the drift and differ by up to 3 % of
+        # noise. The rule is a test at a level, so a session of 20 such
+        # pairs can read "regression" by chance; it does in about 0.03 % of
+        # sessions (0.3 expected here), and never reads "gain".
+        rng = random.Random(2026)
+        verdicts = []
+        for _ in range(1000):
+            drift = [0.38 + 0.11 * i / 19 for i in range(20)]
+            pairs = [(d * rng.uniform(0.97, 1.03), d * rng.uniform(0.97, 1.03))
+                     for d in drift]
+            verdicts.append(perf_ab.verdict(pairs)["verdict"])
+        self.assertLessEqual(verdicts.count("regression"), 5)
+        self.assertEqual(verdicts.count("gain"), 0)
+
+    def test_a_slowdown_on_a_drifting_box_is_a_regression(self):
+        # The base drifts from 0.38 to 0.49 and every change run is 1.10x
+        # its own pair's base. The base's quartiles are wider than the
+        # median shift, so only the paired ratios can tell.
+        base = spread(0.435, 0.055, 10)
+        pairs = [(b, 1.10 * b) for b in base]
+        judged = perf_ab.verdict(pairs)
+        shift = judged["change_quartiles"][1] - judged["base_quartiles"][1]
+        self.assertGreater(judged["base_iqr"], shift)
+        self.assertEqual(judged["losses"], 10)
+        self.assertEqual(judged["verdict"], "regression")
+        self.assertEqual(perf_ab.verdict(pairs[:5])["verdict"], "regression")
+
+    def test_a_measured_injected_slowdown_is_a_regression(self):
+        # Per-pair CPU ratios of a build that spins a tenth of each
+        # shard-round against its own source, 20 s scale_100k runs
+        # (EXPERIMENTS.md): 8 losses in 10, median ratio 1.09.
+        ratios = [1.109, 1.156, 1.181, 1.125, 1.065, 1.054, 0.965, 1.120, 1.071, 0.980]
+        base = spread(0.435, 0.055, 10)
+        pairs = [(b, r * b) for b, r in zip(base, ratios)]
+        judged = perf_ab.verdict(pairs)
+        self.assertEqual(judged["losses"], 8)
+        self.assertEqual(judged["verdict"], "regression")
+
+    def test_measured_self_pairs_give_no_verdict(self):
+        # 20 self-pairs of one commit, two builds, 20 s scale_100k runs
+        # (EXPERIMENTS.md), CPU per device-round, first build / second.
+        pairs = [(0.462, 0.502), (0.440, 0.440), (0.469, 0.439), (0.437, 0.454),
+                 (0.453, 0.481), (0.407, 0.439), (0.440, 0.478), (0.480, 0.457),
+                 (0.457, 0.443), (0.444, 0.424), (0.434, 0.486), (0.494, 0.493),
+                 (0.461, 0.448), (0.367, 0.419), (0.430, 0.429), (0.455, 0.435),
+                 (0.453, 0.462), (0.467, 0.429), (0.464, 0.477), (0.490, 0.470)]
+        self.assertEqual(perf_ab.verdict(pairs)["verdict"], "none")
+
+    def test_sign_test(self):
+        self.assertEqual(perf_ab.sign_test_p(0, 10), 1.0)
+        self.assertAlmostEqual(perf_ab.sign_test_p(8, 10), 56 / 1024)
+        self.assertAlmostEqual(perf_ab.sign_test_p(10, 10), 1 / 1024)
+        self.assertEqual(perf_ab.sign_test_p(0, 0), 1.0)
+
     def test_quartiles_interpolate(self):
         self.assertEqual(perf_ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]), (2.0, 3.0, 4.0))
         self.assertEqual(perf_ab.quartiles([7.0]), (7.0, 7.0, 7.0))
@@ -103,10 +162,10 @@ class BoundCheckTest(unittest.TestCase):
         self.assertEqual(perf_ab.bound_check(pairs, 0.25), "within")
 
     def test_a_frequent_large_slowdown_is_outside_the_bound(self):
-        # 1.3x worse in 8 pairs of 10: no verdict, but outside a 0.2 bound.
+        # 1.3x worse in 8 pairs of 10: a regression, and outside a 0.2 bound.
         base = spread(20.0, 0.2, 10)
         pairs = [(b, 1.3 * b) for b in base[:8]] + [(b, 0.99 * b) for b in base[8:]]
-        self.assertEqual(perf_ab.verdict(pairs)["verdict"], "none")
+        self.assertEqual(perf_ab.verdict(pairs)["verdict"], "regression")
         self.assertEqual(perf_ab.bound_check(pairs, 0.2), "outside")
 
     def test_a_gain_is_within_the_bound(self):
