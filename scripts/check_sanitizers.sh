@@ -78,6 +78,13 @@
 # the deadline check (FleetEngine.RejectsMismatchedRoundDeadlines) match
 # the suites' existing patterns.
 #
+# So do the per-tile scoring case (FleetEngine.ShardScoresDeferredDevicesPerTile)
+# and the bucket comparison in Metrics.HistogramBucketsAreUpperInclusive: a
+# shard scatters each scored tile's accuracies to SoA rows through its
+# deferred-index list and reuses one tile of scratch across the slice, and
+# the histogram indexes its bounds at a slot guessed by a bit scan, up to
+# values near 2^64 — indexing ASan and UBSan should watch.
+#
 # Usage: scripts/check_sanitizers.sh [jobs]
 set -euo pipefail
 
