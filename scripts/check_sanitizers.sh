@@ -35,11 +35,9 @@
 # links in per-thread memo slots (FaultPlan.CellStreamsPinned and
 # ChurnPlanTest.CellStreamsPinned query them from four threads).
 #
-# The streaming-posterior and wire-v2 suites (test_streaming_posterior,
-# test_transfer_v2) ride in every build too: the merge/fold property tests
-# exercise the fixed-point SuffStats accumulators over arbitrary partition
-# trees, and the v2 decoders parse attacker-shaped buffers with bit-packed
-# reads — buffer arithmetic ASan exists to falsify.
+# The wire-v2 suite (test_transfer_v2) rides in every build too: the v2
+# decoders parse attacker-shaped buffers with bit-packed reads — buffer
+# arithmetic ASan exists to falsify.
 #
 # The optimizer and DP suites (test_optim, test_dp) ride in every build,
 # with the golden-metrics suite (test_golden_metrics) that drives them end
@@ -102,7 +100,7 @@ for sanitizer in thread address undefined; do
                  test_membership test_membership_stats \
                  test_linalg_property test_dro_invariants \
                  test_simd_dispatch test_sampling_stats test_obs test_profiler \
-                 test_streaming_posterior test_transfer_v2 \
+                 test_transfer_v2 \
                  test_optim test_dp test_diagnostics test_linalg \
                  test_data test_models test_golden_metrics test_stats > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
@@ -112,7 +110,7 @@ for sanitizer in thread address undefined; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|TaskPopulation|GoldenMetrics|ProfilerTest|Trace\.|NormalsMatchSuccessiveNormalCalls|BucketedNearestRanks'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Transfer|Lbfgs|LineSearch|GradientDescent|DpmmGibbs|DiagonalPredictive|IncrementalGibbs|EigenSym|MixturePrior|TaskPopulation|GoldenMetrics|ProfilerTest|Trace\.|NormalsMatchSuccessiveNormalCalls|BucketedNearestRanks'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

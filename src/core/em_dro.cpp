@@ -164,7 +164,7 @@ EmDroResult EmDroSolver::solve_from(const linalg::Vector& theta0) const {
         const MStepObjective m_step(robust(), *prior_, r, weight_);
         const optim::OptimResult inner = [&] {
             DREL_PROFILE_SCOPE("em.m_step");
-            return optim::minimize_lbfgs(m_step, result.theta, options_.m_step);
+            return optim::minimize_lbfgs(m_step, result.theta, optim::LbfgsOptions{});
         }();
 
         const double next = objective(inner.x);

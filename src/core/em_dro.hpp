@@ -42,7 +42,6 @@ namespace drel::core {
 struct EmDroOptions {
     int max_outer_iterations = 50;
     double objective_tolerance = 1e-8;   ///< relative F decrease stop rule
-    optim::LbfgsOptions m_step;          ///< inner solver controls
     /// Number of prior atoms (by weight) to try as extra EM starting points
     /// in addition to the prior mean; the best final objective wins. The
     /// surrogate is tight only locally, so multi-start matters when the

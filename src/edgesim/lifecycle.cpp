@@ -1,14 +1,12 @@
 #include "edgesim/lifecycle.hpp"
 
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "data/task_generator.hpp"
 #include "dp/dpmm_gibbs.hpp"
 #include "dp/prior_diagnostics.hpp"
-#include "dp/streaming_vb.hpp"
 #include "edgesim/transfer.hpp"
 #include "models/erm_objective.hpp"
 #include "models/metrics.hpp"
@@ -28,9 +26,6 @@ linalg::Vector fit_theta(const models::Dataset& data, const models::Loss& loss) 
     options.stopping.max_iterations = 300;
     return optim::minimize_lbfgs(objective, linalg::zeros(data.dim()), options).x;
 }
-
-/// Streaming refit's variational truncation K.
-constexpr std::size_t kStreamingTruncation = 8;
 
 data::TaskPopulation population_with_modes(const std::vector<data::ParameterMode>& modes) {
     return data::TaskPopulation(std::vector<data::ParameterMode>(modes));
@@ -104,23 +99,6 @@ EngineReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
     // A stale-prior fault pins the device to the bootstrap prior — the
     // "missed every refresh" worst case.
     const dp::MixturePrior initial_prior = broadcast_prior;
-
-    // Streaming refit: the bootstrap prior seeds both the anchor and the
-    // pseudo-observation mass (one pseudo-observation per contributor), so
-    // the first extract resembles the Gibbs broadcast. Batch mode
-    // constructs nothing here and keeps the historical per-upload Gibbs
-    // refresh bit for bit.
-    std::optional<dp::StreamingVb> streaming;
-    if (config.refit_mode == CloudRefitMode::kStreaming) {
-        dp::StreamingVbConfig svb;
-        svb.alpha = config.dp_alpha;
-        svb.base_mean = dpmm.base_mean;
-        svb.base_covariance = dpmm.base_covariance;
-        svb.within_covariance = dpmm.within_covariance;
-        svb.truncation = kStreamingTruncation;
-        svb.prior_strength = static_cast<double>(config.initial_contributors);
-        streaming.emplace(std::move(svb), broadcast_prior);
-    }
 
     const FaultPlan fault_plan(config.faults, rng);
     // Forked, not advanced: constructing the churn plan leaves every
@@ -261,28 +239,13 @@ EngineReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
             server.take_serviced_thetas();
         if (config.feedback && !uploads.empty()) {
             DREL_PROFILE_SCOPE("lifecycle.cloud_refresh");
-            dp::MixturePrior refreshed = broadcast_prior;
-            if (streaming.has_value()) {
-                // Streaming refit: score every serviced upload against the
-                // frozen anchor, fold the fixed-point partials (uploads
-                // arrive in canonical (round, device) order, but the merge
-                // is order-exact anyway), derive the posterior from the
-                // cumulative totals. No RNG: kPosteriorUpdate stays unused.
-                dp::StreamingSuffStats round_stats = streaming->make_stats();
-                for (const auto& [device, theta] : uploads) {
-                    streaming->accumulate(theta, round_stats);
-                }
-                streaming->apply(round_stats);
-                refreshed = streaming->extract_prior();
-            } else {
-                stats::Rng update_rng =
-                    server_stream(server_root, round, ServerStream::kPosteriorUpdate);
-                for (auto& [device, theta] : uploads) {
-                    sampler.add_observation(std::move(theta), update_rng,
-                                            config.refresh_sweeps_per_upload);
-                }
-                refreshed = sampler.extract_prior();
+            stats::Rng update_rng =
+                server_stream(server_root, round, ServerStream::kPosteriorUpdate);
+            for (auto& [device, theta] : uploads) {
+                sampler.add_observation(std::move(theta), update_rng,
+                                        config.refresh_sweeps_per_upload);
             }
+            dp::MixturePrior refreshed = sampler.extract_prior();
             stats::Rng kl_rng = server_stream(server_root, round, ServerStream::kKlEstimate);
             const double drift = dp::symmetric_kl_estimate(refreshed, broadcast_prior,
                                                            config.kl_samples, kl_rng);
@@ -298,10 +261,6 @@ EngineReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
                 }
                 last_acked_prior = broadcast_prior;
                 decision.rebroadcast = true;
-                // Future uploads score against the shipped posterior; a
-                // batch lagging from before the push still folds exactly
-                // (the totals are anchor-independent once accumulated).
-                if (streaming.has_value()) streaming->refresh_anchor();
             }
         }
         decision.payload_bytes = payload.size();

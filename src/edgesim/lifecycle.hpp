@@ -2,8 +2,9 @@
 //
 // The one-shot pipeline (simulation.hpp) broadcasts a prior once. Real
 // deployments live for years: new devices keep joining, their fitted models
-// flow BACK to the cloud, the cloud's DP posterior absorbs them online
-// (DpmmGibbs::add_observation), and the prior is re-broadcast when — and
+// flow BACK to the cloud, the cloud's DP posterior absorbs each serviced
+// upload online by a collapsed Gibbs refresh (DpmmGibbs::add_observation),
+// and the prior is re-broadcast when — and
 // only when — it has moved enough to justify the bytes (the symmetric-KL
 // trigger from dp/prior_diagnostics.hpp). The scenario that makes this loop
 // earn its keep: a NOVEL device type starts appearing mid-run. With
@@ -27,18 +28,6 @@
 #include "stats/rng.hpp"
 
 namespace drel::edgesim {
-
-/// How the cloud folds serviced uploads into its posterior each round.
-enum class CloudRefitMode {
-    /// Per-upload collapsed Gibbs refresh (DpmmGibbs::add_observation) —
-    /// the historical path; all pre-streaming goldens pin it.
-    kBatch,
-    /// Streaming variational updates over mergeable fixed-point sufficient
-    /// statistics (dp/streaming_vb.hpp): uploads are scored against a
-    /// frozen anchor and folded by exact integer merge; the anchor advances
-    /// on rebroadcast. Deterministic — no posterior-update RNG draws.
-    kStreaming,
-};
 
 struct LifecycleConfig {
     // Population.
@@ -75,9 +64,6 @@ struct LifecycleConfig {
     /// this; the check itself is cheap (Monte-Carlo with `kl_samples`).
     double rebroadcast_kl_threshold = 0.05;
     std::size_t kl_samples = 200;
-
-    /// Cloud posterior refresh mode (batch Gibbs vs streaming VB).
-    CloudRefitMode refit_mode = CloudRefitMode::kBatch;
 
     /// Wire options for prior broadcasts. The default (v1, full fidelity)
     /// reproduces the historical byte accounting exactly; v2 options

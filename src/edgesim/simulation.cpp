@@ -79,7 +79,7 @@ FleetReport run_fleet_simulation(const SimulationConfig& config, stats::Rng& rng
     }
     stats::Rng prior_rng = rng.fork(3);
     const dp::MixturePrior prior = cloud.fit_prior(prior_rng);
-    const std::vector<std::uint8_t> encoded = encode_prior(prior, config.encoding);
+    const std::vector<std::uint8_t> encoded = encode_prior(prior, EncodingOptions{});
     report.cloud_seconds = cloud_watch.elapsed_seconds();
     report.prior_components = prior.num_components();
     report.prior_bytes = encoded.size();

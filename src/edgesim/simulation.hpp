@@ -39,9 +39,6 @@ struct SimulationConfig {
     std::size_t test_samples = 2000;
     core::EdgeLearnerConfig learner;
 
-    // Transfer encoding.
-    EncodingOptions encoding;
-
     /// Also train the component-posterior ensemble (core/ensemble.hpp) on
     /// every device and record its accuracy — the hedge against wrong-mode
     /// lock-in; costs K extra convex solves per device.

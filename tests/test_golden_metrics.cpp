@@ -192,14 +192,13 @@ TEST_F(GoldenMetrics, FleetChurnSmall) {
     check_text_against_golden("fleet_churn_small", actual);
 }
 
-// The streaming-refit lifecycle under wire v2 (8-bit quantized + delta
-// broadcasts): pins the full closed loop — streaming VB posterior updates,
-// compressed rebroadcasts, the bandwidth SLO — as a byte-exact document.
-// Accuracies are recorded as raw f64 bit patterns, so "bit-identical
-// across 1/2/4/8 threads and 1/3/8/40 shards" means exactly that: the
-// fixed-point merge contract of dp/streaming_vb.hpp surfacing end to end.
-TEST_F(GoldenMetrics, FleetStreamingSmall) {
-    const auto streaming_json = [](std::size_t num_threads, std::size_t num_shards) {
+// The lifecycle under wire v2 (8-bit quantized + delta broadcasts): pins
+// the full closed loop — Gibbs posterior refreshes, compressed
+// rebroadcasts, the bandwidth SLO — as a byte-exact document. Accuracies
+// are recorded as raw f64 bit patterns, so "bit-identical across 1/2/4/8
+// threads and 1/3/8/40 shards" means exactly that.
+TEST_F(GoldenMetrics, LifecycleWireV2Small) {
+    const auto wire_v2_json = [](std::size_t num_threads, std::size_t num_shards) {
         edgesim::LifecycleConfig config;
         config.feature_dim = 5;
         config.initial_modes = 2;
@@ -213,7 +212,6 @@ TEST_F(GoldenMetrics, FleetStreamingSmall) {
         config.novel_mode_round = 1;
         config.learner.em.max_outer_iterations = 6;
         config.learner.transfer_weight = 2.0;
-        config.refit_mode = edgesim::CloudRefitMode::kStreaming;
         config.wire.version = edgesim::kWireV2;
         config.wire.quantized = true;
         config.wire.quantization_bits = 8;
@@ -249,23 +247,23 @@ TEST_F(GoldenMetrics, FleetStreamingSmall) {
                     report.telemetry.to_json(&slo, /*include_partition=*/false));
         return obs::JsonValue(std::move(doc)).dump(2);
     };
-    const std::string actual = streaming_json(2, 8);
+    const std::string actual = wire_v2_json(2, 8);
     for (const std::size_t threads : {1u, 4u, 8u}) {
-        EXPECT_EQ(streaming_json(threads, 8), actual) << "threads=" << threads;
+        EXPECT_EQ(wire_v2_json(threads, 8), actual) << "threads=" << threads;
     }
     for (const std::size_t shards : {1u, 3u, 40u}) {
-        EXPECT_EQ(streaming_json(2, shards), actual) << "shards=" << shards;
+        EXPECT_EQ(wire_v2_json(2, shards), actual) << "shards=" << shards;
     }
     // The scenario must exercise the compressed-rebroadcast path and the
     // bandwidth SLO it feeds.
     EXPECT_NE(actual.find("\"broadcast_bytes_per_device\""), std::string::npos);
-    check_text_against_golden("fleet_streaming_small", actual);
+    check_text_against_golden("lifecycle_wire_v2_small", actual);
 }
 
-// The batch-refit lifecycle: every serviced upload goes through the
-// per-upload collapsed Gibbs refresh (DpmmGibbs::add_observation), a novel
-// device type appears mid-run, and every device solves EM-DRO against the
-// broadcast prior. No other golden runs that refresh, so this pins the
+// The lifecycle at the default wire (v1): every serviced upload goes
+// through the per-upload collapsed Gibbs refresh
+// (DpmmGibbs::add_observation), a novel device type appears mid-run, and
+// every device solves EM-DRO against the broadcast prior. This pins the
 // paper path's report end to end — accuracies as raw f64 bit patterns,
 // rebroadcast decisions, prior sizes, bytes and per-round outcomes. The
 // same bytes must come back at any thread or shard count before the
