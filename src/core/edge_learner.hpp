@@ -13,7 +13,7 @@
 //   auto prior = /* cloud: DpmmGibbs(...).extract_prior() */;
 //   core::EdgeLearner learner(prior, {});
 //   core::FitResult fit = learner.fit(local_data);
-//   double yhat = fit.model.predict_class(x);
+//   double yhat = fit.model.predict_class(x.data());  // x: a feature row
 #pragma once
 
 #include <string>

@@ -12,6 +12,12 @@
 namespace drel::core {
 namespace {
 
+/// Number of prior atoms (by weight) tried as extra EM starting points in
+/// addition to the prior mean; the best final objective wins. The surrogate
+/// is tight only locally, so multi-start matters when the prior is strongly
+/// multi-modal.
+constexpr std::size_t kMultiStartAtoms = 3;
+
 // Deterministic event counts (see DESIGN.md "Observability"): per-solve
 // E-step/outer-iteration totals are pure functions of the inputs, so these
 // aggregate bit-identically at any thread count.
@@ -206,9 +212,8 @@ EmDroResult EmDroSolver::solve() const {
     std::vector<linalg::Vector> starts;
     starts.push_back(prior_->mean());
     const std::vector<std::size_t> order = prior_->components_by_weight();
-    const int atoms = std::min<int>(options_.multi_start_atoms,
-                                    static_cast<int>(prior_->num_components()));
-    for (int k = 0; k < atoms; ++k) starts.push_back(prior_->atom(order[k]).mean());
+    const std::size_t atoms = std::min(kMultiStartAtoms, prior_->num_components());
+    for (std::size_t k = 0; k < atoms; ++k) starts.push_back(prior_->atom(order[k]).mean());
 
     // Starts are independent EM runs into indexed slots; the winner is
     // picked by a fixed-order scan below, so the result is bit-identical to

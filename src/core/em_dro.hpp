@@ -42,11 +42,6 @@ namespace drel::core {
 struct EmDroOptions {
     int max_outer_iterations = 50;
     double objective_tolerance = 1e-8;   ///< relative F decrease stop rule
-    /// Number of prior atoms (by weight) to try as extra EM starting points
-    /// in addition to the prior mean; the best final objective wins. The
-    /// surrogate is tight only locally, so multi-start matters when the
-    /// prior is strongly multi-modal.
-    int multi_start_atoms = 3;
     /// Runners for the multi-start loop in solve(). Starts are independent
     /// EM runs writing to indexed slots and the winner is picked in fixed
     /// start order, so any value yields bit-identical results; >1 runs the

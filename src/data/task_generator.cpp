@@ -4,6 +4,12 @@
 #include <stdexcept>
 
 namespace drel::data {
+namespace {
+
+/// Distance of injected outliers from the origin.
+constexpr double kOutlierRadius = 8.0;
+
+}  // namespace
 
 TaskPopulation::TaskPopulation(std::vector<ParameterMode> modes)
     : modes_(std::move(modes)), theta_dim_(0) {
@@ -77,10 +83,6 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
         throw std::invalid_argument(
             "TaskPopulation::generate: outlier_fraction must be in [0, 1]");
     }
-    if (!std::isfinite(options.feature_scale) || !std::isfinite(options.outlier_radius)) {
-        throw std::invalid_argument(
-            "TaskPopulation::generate: feature_scale and outlier_radius must be finite");
-    }
     const std::size_t d = feature_dim();
     linalg::Matrix features(n, d + 1);
     linalg::Vector labels(n);
@@ -90,7 +92,6 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
     for (std::size_t i = 0; i < n; ++i) {
         double* x = features.row_data(i);
         rng.normals(x, d);
-        for (std::size_t c = 0; c < d; ++c) x[c] *= options.feature_scale;
         if (!options.feature_shift.empty()) {
             linalg::axpy_n(1.0, options.feature_shift.data(), x, d);
         }
@@ -107,24 +108,13 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
             // Far-out point with a coin-flip label: stresses robustness.
             linalg::Vector dir = rng.standard_normal_vector(d);
             const double dn = linalg::norm2(dir);
-            if (dn > 0.0) linalg::scale(dir, options.outlier_radius / dn);
+            if (dn > 0.0) linalg::scale(dir, kOutlierRadius / dn);
             for (std::size_t c = 0; c < d; ++c) x[c] = dir[c];
             y = (rng.uniform() < 0.5) ? 1.0 : -1.0;
         }
         labels[i] = y;
     }
     return models::Dataset(std::move(features), std::move(labels));
-}
-
-double TaskPopulation::bayes_accuracy(const TaskSpec& task, std::size_t n_mc, stats::Rng& rng,
-                                      const DataOptions& options) const {
-    const models::Dataset mc = generate(task, n_mc, rng, options);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < mc.size(); ++i) {
-        const double pred = linalg::dot(task.theta_star, mc.feature_row(i)) >= 0.0 ? 1.0 : -1.0;
-        if (pred * mc.label(i) > 0.0) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(mc.size());
 }
 
 models::Dataset generate_regression_data(const linalg::Vector& theta_star, std::size_t n,

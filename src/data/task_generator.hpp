@@ -48,9 +48,7 @@ struct DataOptions {
     double label_noise = 0.02;       ///< post-hoc label flip probability
     double margin_scale = 1.0;       ///< logits multiplier (higher = crisper labels)
     linalg::Vector feature_shift;    ///< added to raw features (covariate shift); empty = none
-    double feature_scale = 1.0;      ///< multiplies raw features
     double outlier_fraction = 0.0;   ///< fraction replaced by far-out points with random labels
-    double outlier_radius = 8.0;     ///< distance of injected outliers
 };
 
 class TaskPopulation {
@@ -75,16 +73,11 @@ class TaskPopulation {
 
     /// Samples one dataset of `n` examples for a device with the given task.
     /// Throws std::invalid_argument, before any draw, on a task or
-    /// feature_shift of the wrong dimension, a non-positive margin_scale, a
-    /// label_noise or outlier_fraction outside [0, 1], or a non-finite
-    /// feature_scale or outlier_radius.
+    /// feature_shift of the wrong dimension, a non-positive margin_scale, or
+    /// a label_noise or outlier_fraction outside [0, 1]. Outliers sit at
+    /// distance 8 from the origin.
     models::Dataset generate(const TaskSpec& task, std::size_t n, stats::Rng& rng,
                              const DataOptions& options = {}) const;
-
-    /// Bayes-optimal accuracy estimate for a task under given options,
-    /// computed by Monte Carlo with the true theta* as the classifier.
-    double bayes_accuracy(const TaskSpec& task, std::size_t n_mc, stats::Rng& rng,
-                          const DataOptions& options = {}) const;
 
  private:
     std::vector<ParameterMode> modes_;

@@ -119,37 +119,6 @@ void BatchResponsibilities::log_densities_into(const double* thetas, std::size_t
     }
 }
 
-void BatchResponsibilities::responsibilities_into(const double* thetas, std::size_t count,
-                                                  double* out, util::Workspace& ws) const {
-    responsibility_evals().add(count);
-    log_densities_into(thetas, count, out, ws);
-    const std::size_t num_k = num_components();
-    for (std::size_t i = 0; i < count; ++i) {
-        double* row = out + i * num_k;
-        // Same max-shifted log-sum-exp as linalg::softmax_inplace.
-        const double m = *std::max_element(row, row + num_k);
-        double acc = 0.0;
-        for (std::size_t k = 0; k < num_k; ++k) acc += std::exp(row[k] - m);
-        const double lse = m + std::log(acc);
-        for (std::size_t k = 0; k < num_k; ++k) row[k] = std::exp(row[k] - lse);
-    }
-}
-
-void BatchResponsibilities::map_components_into(const double* thetas, std::size_t count,
-                                                std::size_t* out, util::Workspace& ws) const {
-    responsibility_evals().add(count);
-    if (count == 0) return;
-    const std::size_t num_k = num_components();
-    auto densities = ws.vec(count * num_k);
-    log_densities_into(thetas, count, densities.data(), ws);
-    for (std::size_t i = 0; i < count; ++i) {
-        const double* row = densities.data() + i * num_k;
-        // The softmax is monotone, so the MAP component is the density
-        // argmax; first max wins, matching linalg::argmax.
-        out[i] = static_cast<std::size_t>(std::max_element(row, row + num_k) - row);
-    }
-}
-
 void BatchResponsibilities::score_match_into(const double* thetas, std::size_t count,
                                              const std::size_t* tags, double* accuracy_out,
                                              util::Workspace& ws) const {

@@ -72,20 +72,11 @@ class BatchResponsibilities {
     void log_densities_into(const double* thetas, std::size_t count, double* out,
                             util::Workspace& ws) const;
 
-    /// Row-wise softmax of log_densities_into: out[i*K + k] = r_k(theta_i).
-    /// Normalization mirrors linalg::softmax_inplace (max-shifted LSE).
-    void responsibilities_into(const double* thetas, std::size_t count, double* out,
-                               util::Workspace& ws) const;
-
-    /// out[i] = argmax_k of device i's responsibilities (first max wins,
-    /// like linalg::argmax). `out` must hold count entries.
-    void map_components_into(const double* thetas, std::size_t count, std::size_t* out,
-                             util::Workspace& ws) const;
-
-    /// accuracy_out[i] = 1.0 if the MAP component of theta_i equals
-    /// tags[i], else 0.0 — the scale fleet's mode-recovery score for a
-    /// whole shard in one call. Keeps a running first-max argmax per device
-    /// instead of writing rows, with map_components_into's result.
+    /// accuracy_out[i] = 1.0 if the MAP component of theta_i (the first
+    /// argmax over k of log_densities_into's row, as linalg::argmax picks
+    /// it) equals tags[i], else 0.0 — the scale fleet's mode-recovery score
+    /// for a whole shard in one call. Keeps a running first-max argmax per
+    /// device instead of writing rows.
     void score_match_into(const double* thetas, std::size_t count, const std::size_t* tags,
                           double* accuracy_out, util::Workspace& ws) const;
 

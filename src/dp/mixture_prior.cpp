@@ -28,7 +28,7 @@ obs::Counter& em_surrogate_evals() {
 
 /// grad += coeff * solved, reading the lane-strided solve of one atom: the
 /// elementwise mul-then-add of axpy_n, so the bits of
-/// MultivariateNormal::add_scaled_precision_residual's accumulation.
+/// axpy(coeff, MultivariateNormal::precision_times_residual(x), grad).
 void add_scaled_lane(double coeff, const double* solved, linalg::Vector& grad) {
     for (std::size_t c = 0; c < grad.size(); ++c) {
         grad[c] += coeff * solved[c * linalg::simd::kAtomLanes];
@@ -202,10 +202,6 @@ linalg::Vector MixturePrior::mean() const {
 linalg::Vector MixturePrior::sample(stats::Rng& rng) const {
     const std::size_t k = rng.categorical(weights_);
     return atoms_[k].sample(rng);
-}
-
-std::size_t MixturePrior::map_component(const linalg::Vector& theta) const {
-    return linalg::argmax(responsibilities(theta));
 }
 
 std::vector<std::size_t> MixturePrior::components_by_weight() const {

@@ -11,7 +11,8 @@
 // packs the atoms' Cholesky factors and means lane-interleaved, four atoms
 // per group (linalg::simd::atom_group_solve), and each entry point then
 // folds the atoms' results in k order. The bits are those of a per-atom
-// loop over MultivariateNormal::log_pdf_ws / add_scaled_precision_residual.
+// loop over MultivariateNormal::log_pdf_ws and
+// axpy(coeff, precision_times_residual(x), grad).
 #pragma once
 
 #include <vector>
@@ -85,9 +86,6 @@ class MixturePrior {
 
     /// Draws theta ~ mixture.
     linalg::Vector sample(stats::Rng& rng) const;
-
-    /// Index of the component with the highest responsibility at theta.
-    std::size_t map_component(const linalg::Vector& theta) const;
 
     /// Component indices by descending weight, equal weights in index
     /// order: the order in which the EM solvers pick multi-start atoms.

@@ -32,15 +32,6 @@ AmbiguitySet AmbiguitySet::kl(double rho) {
     return {AmbiguityKind::kKl, rho};
 }
 
-AmbiguitySet AmbiguitySet::chi_square(double rho) {
-    check_radius(rho);
-    return {AmbiguityKind::kChiSquare, rho};
-}
-
-std::string AmbiguitySet::to_string() const {
-    return std::string(ambiguity_name(kind)) + "(" + std::to_string(radius) + ")";
-}
-
 double radius_for_sample_size(double c, std::size_t n) {
     if (!(c >= 0.0)) throw std::invalid_argument("radius_for_sample_size: c must be >= 0");
     if (n == 0) throw std::invalid_argument("radius_for_sample_size: n must be > 0");

@@ -8,7 +8,7 @@
 //   * chi-square: variance-regularization behaviour, bounded reweighting.
 #pragma once
 
-#include <string>
+#include <cstddef>
 
 namespace drel::dro {
 
@@ -23,9 +23,6 @@ struct AmbiguitySet {
     static AmbiguitySet none() { return {AmbiguityKind::kNone, 0.0}; }
     static AmbiguitySet wasserstein(double rho);
     static AmbiguitySet kl(double rho);
-    static AmbiguitySet chi_square(double rho);
-
-    std::string to_string() const;
 };
 
 /// The standard radius schedule rho(n) = c / sqrt(n): ambiguity shrinks as

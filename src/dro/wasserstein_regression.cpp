@@ -17,15 +17,6 @@ WassersteinRegressionObjective::WassersteinRegressionObjective(const models::Dat
 
 std::size_t WassersteinRegressionObjective::dim() const { return data_->dim(); }
 
-double WassersteinRegressionObjective::mse(const linalg::Vector& theta) const {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < data_->size(); ++i) {
-        const double r = data_->label(i) - linalg::dot(theta, data_->feature_row(i));
-        acc += r * r;
-    }
-    return acc / static_cast<double>(data_->size());
-}
-
 double WassersteinRegressionObjective::eval(const linalg::Vector& theta,
                                             linalg::Vector* grad) const {
     if (theta.size() != dim()) {

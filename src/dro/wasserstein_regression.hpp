@@ -31,9 +31,6 @@ class WassersteinRegressionObjective final : public optim::Objective {
 
     double rho() const noexcept { return rho_; }
 
-    /// Plain mean squared error at theta (the rho = 0 value).
-    double mse(const linalg::Vector& theta) const;
-
  private:
     const models::Dataset* data_;
     double rho_;

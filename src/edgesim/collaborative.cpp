@@ -12,6 +12,10 @@
 namespace drel::edgesim {
 namespace {
 
+/// Extra EM starts at the heaviest prior atoms (plus the prior mean); the
+/// best final objective wins, as in core::EmDroSolver.
+constexpr std::size_t kMultiStartAtoms = 3;
+
 /// alpha * f(x) wrapper.
 class ScaledObjective final : public optim::Objective {
  public:
@@ -142,9 +146,8 @@ CollaborativeResult collaborative_fit(const std::vector<const models::Dataset*>&
     std::vector<linalg::Vector> starts;
     starts.push_back(prior.mean());
     const std::vector<std::size_t> order = prior.components_by_weight();
-    const int atoms = std::min<int>(config.multi_start_atoms,
-                                    static_cast<int>(prior.num_components()));
-    for (int k = 0; k < atoms; ++k) starts.push_back(prior.atom(order[k]).mean());
+    const std::size_t atoms = std::min(kMultiStartAtoms, prior.num_components());
+    for (std::size_t k = 0; k < atoms; ++k) starts.push_back(prior.atom(order[k]).mean());
 
     // Starts solve independently into indexed slots; the fixed-order scan
     // below keeps the winner bit-identical to the serial loop at any thread

@@ -35,9 +35,6 @@ struct CollaborativeConfig {
     int max_outer_iterations = 20;
     double objective_tolerance = 1e-7;
     optim::AdmmOptions admm;
-    /// Extra EM starts at the heaviest prior atoms (plus the prior mean);
-    /// best final objective wins — same rationale as EmDroOptions.
-    int multi_start_atoms = 3;
     /// Runners for the multi-start loop: starts solve independently into
     /// indexed slots and the winner is picked in fixed start order, so any
     /// value is bit-identical; >1 uses the shared executor.

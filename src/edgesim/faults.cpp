@@ -43,21 +43,6 @@ stats::Rng cell_stream(const stats::Rng& stream, CellLinkSlot slot, std::uint64_
     return stats::Rng(link.link_seed).fork(device);
 }
 
-const char* to_string(DegradedReason reason) noexcept {
-    switch (reason) {
-        case DegradedReason::kNone: return "none";
-        case DegradedReason::kCrashed: return "crashed";
-        case DegradedReason::kStraggler: return "straggler";
-        case DegradedReason::kFallbackLocalErm: return "fallback_local_erm";
-        case DegradedReason::kStalePrior: return "stale_prior";
-        case DegradedReason::kUploadDropped: return "upload_dropped";
-        case DegradedReason::kNonFinite: return "non_finite";
-        case DegradedReason::kBackpressure: return "backpressure";
-        case DegradedReason::kRejoinStalePrior: return "rejoin_stale_prior";
-    }
-    return "unknown";
-}
-
 bool FaultConfig::any() const noexcept {
     return crash_prob > 0.0 || straggler_prob > 0.0 || prior_corrupt_prob > 0.0 ||
            prior_stale_prob > 0.0 || link_outage_prob > 0.0 || upload_fail_prob > 0.0 ||

@@ -47,9 +47,6 @@ enum class DegradedReason : std::uint8_t {
     kRejoinStalePrior,  ///< first round back after Dead; resumed on an old prior
 };
 
-/// Stable lowercase name ("none", "crashed", ...) for logs and tables.
-const char* to_string(DegradedReason reason) noexcept;
-
 struct FaultConfig {
     // Per-(round, device) fault probabilities. All must lie in [0, 1].
     double crash_prob = 0.0;          ///< device dies mid-training

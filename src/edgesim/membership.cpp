@@ -21,17 +21,6 @@ void check_probability(double p, const char* name) {
 
 }  // namespace
 
-const char* to_string(LivenessState state) noexcept {
-    switch (state) {
-        case LivenessState::kUnknown: return "unknown";
-        case LivenessState::kJoining: return "joining";
-        case LivenessState::kAlive: return "alive";
-        case LivenessState::kSuspect: return "suspect";
-        case LivenessState::kDead: return "dead";
-    }
-    return "invalid";
-}
-
 bool ChurnConfig::any() const noexcept {
     return join_prob > 0.0 || leave_prob > 0.0 || heartbeat_loss_prob > 0.0 ||
            rejoin_prob > 0.0;

@@ -52,9 +52,6 @@ enum class LivenessState : std::uint8_t {
     kDead,         ///< left or timed out; slot skipped, index retained
 };
 
-/// Stable lowercase name ("unknown", "joining", ...) for logs and tables.
-const char* to_string(LivenessState state) noexcept;
-
 struct ChurnConfig {
     // Per-(round, device) churn probabilities. All must lie in [0, 1].
     double join_prob = 0.0;            ///< Unknown slot announces itself

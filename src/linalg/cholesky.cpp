@@ -127,12 +127,6 @@ double Cholesky::log_det() const {
     return 2.0 * acc;
 }
 
-double Cholesky::quad_form_inv(const Vector& x) const {
-    // xᵀ A⁻¹ x = ||L⁻¹ x||² — one triangular solve, no full inverse.
-    const Vector y = solve_lower(x);
-    return dot(y, y);
-}
-
 Matrix Cholesky::inverse() const {
     const std::size_t n = dim();
     Matrix inv(n, n);

@@ -53,9 +53,6 @@ class Cholesky {
     /// log det(A) = 2 * sum_i log L_ii.
     double log_det() const;
 
-    /// xᵀ A⁻¹ x, the Mahalanobis quadratic form.
-    double quad_form_inv(const Vector& x) const;
-
     /// Dense A⁻¹ (used when a full precision matrix must be shipped).
     Matrix inverse() const;
 

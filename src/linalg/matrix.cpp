@@ -16,13 +16,6 @@ namespace {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
-    : rows_(rows), cols_(cols), data_(std::move(data)) {
-    if (data_.size() != rows_ * cols_) {
-        throw std::invalid_argument("Matrix: data size does not match rows*cols");
-    }
-}
-
 Matrix Matrix::identity(std::size_t n) {
     Matrix out(n, n);
     for (std::size_t i = 0; i < n; ++i) out(i, i) = 1.0;
@@ -33,24 +26,6 @@ Matrix Matrix::diagonal(const Vector& d) {
     Matrix out(d.size(), d.size());
     for (std::size_t i = 0; i < d.size(); ++i) out(i, i) = d[i];
     return out;
-}
-
-Matrix Matrix::outer(const Vector& x, const Vector& y) {
-    Matrix out(x.size(), y.size());
-    for (std::size_t r = 0; r < x.size(); ++r) {
-        for (std::size_t c = 0; c < y.size(); ++c) out(r, c) = x[r] * y[c];
-    }
-    return out;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at: index out of range");
-    return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at: index out of range");
-    return (*this)(r, c);
 }
 
 Vector Matrix::row(std::size_t r) const {
@@ -139,12 +114,6 @@ double Matrix::trace_product(const Matrix& a, const Matrix& b) {
 Matrix& Matrix::operator+=(const Matrix& other) {
     if (!same_shape(other)) shape_error("operator+=");
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-    return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-    if (!same_shape(other)) shape_error("operator-=");
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
     return *this;
 }
 

@@ -19,13 +19,8 @@ class Matrix {
     /// rows x cols matrix filled with `fill`.
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-    /// Builds from row-major data; data.size() must equal rows*cols.
-    Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
-
     static Matrix identity(std::size_t n);
     static Matrix diagonal(const Vector& d);
-    /// Rank-1 matrix x yᵀ.
-    static Matrix outer(const Vector& x, const Vector& y);
 
     std::size_t rows() const noexcept { return rows_; }
     std::size_t cols() const noexcept { return cols_; }
@@ -34,10 +29,6 @@ class Matrix {
 
     double& operator()(std::size_t r, std::size_t c) noexcept { return data_[r * cols_ + c]; }
     double operator()(std::size_t r, std::size_t c) const noexcept { return data_[r * cols_ + c]; }
-
-    /// Bounds-checked access.
-    double& at(std::size_t r, std::size_t c);
-    double at(std::size_t r, std::size_t c) const;
 
     const std::vector<double>& data() const noexcept { return data_; }
 
@@ -65,10 +56,8 @@ class Matrix {
     static double trace_product(const Matrix& a, const Matrix& b);
 
     Matrix& operator+=(const Matrix& other);
-    Matrix& operator-=(const Matrix& other);
     Matrix& operator*=(double alpha) noexcept;
     friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-    friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
     friend Matrix operator*(Matrix a, double alpha) { return a *= alpha; }
     friend Matrix operator*(double alpha, Matrix a) { return a *= alpha; }
 

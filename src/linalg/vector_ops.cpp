@@ -40,13 +40,6 @@ void scale(Vector& x, double alpha) noexcept {
     for (double& v : x) v *= alpha;
 }
 
-Vector add(const Vector& x, const Vector& y) {
-    check_same_size(x, y, "add");
-    Vector out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] + y[i];
-    return out;
-}
-
 Vector sub(const Vector& x, const Vector& y) {
     check_same_size(x, y, "sub");
     Vector out(x.size());

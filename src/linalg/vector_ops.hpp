@@ -55,9 +55,6 @@ void sub_into(const Vector& x, const Vector& y, Vector& out);
 /// x *= alpha
 void scale(Vector& x, double alpha) noexcept;
 
-/// Returns x + y.
-Vector add(const Vector& x, const Vector& y);
-
 /// Returns x - y.
 Vector sub(const Vector& x, const Vector& y);
 

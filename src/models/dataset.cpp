@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace drel::models {
 
@@ -25,19 +26,6 @@ Dataset::Dataset(linalg::Matrix features, linalg::Vector labels)
     }
 }
 
-void Dataset::push_back(const linalg::Vector& x, double y) {
-    if (!empty() && x.size() != dim()) {
-        throw std::invalid_argument("Dataset::push_back: dimension mismatch");
-    }
-    linalg::Matrix grown(features_.rows() + 1, empty() ? x.size() : dim());
-    for (std::size_t r = 0; r < features_.rows(); ++r) {
-        for (std::size_t c = 0; c < features_.cols(); ++c) grown(r, c) = features_(r, c);
-    }
-    grown.set_row(features_.rows(), x);
-    features_ = std::move(grown);
-    labels_.push_back(y);
-}
-
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
     linalg::Matrix f(indices.size(), dim());
     linalg::Vector l(indices.size());
@@ -47,20 +35,6 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
         l[i] = labels_[indices[i]];
     }
     return Dataset(std::move(f), std::move(l));
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double train_fraction, stats::Rng& rng) const {
-    if (!(train_fraction >= 0.0) || !(train_fraction <= 1.0)) {
-        throw std::invalid_argument("Dataset::split: fraction must be in [0,1]");
-    }
-    const std::vector<std::size_t> perm = rng.permutation(size());
-    const std::size_t n_train =
-        static_cast<std::size_t>(std::llround(train_fraction * static_cast<double>(size())));
-    std::vector<std::size_t> train_idx(perm.begin(),
-                                       perm.begin() + static_cast<std::ptrdiff_t>(n_train));
-    std::vector<std::size_t> test_idx(perm.begin() + static_cast<std::ptrdiff_t>(n_train),
-                                      perm.end());
-    return {subset(train_idx), subset(test_idx)};
 }
 
 Dataset Dataset::concatenate(const Dataset& a, const Dataset& b) {
@@ -80,15 +54,6 @@ Dataset Dataset::concatenate(const Dataset& a, const Dataset& b) {
         l[a.size() + i] = b.label(i);
     }
     return Dataset(std::move(f), std::move(l));
-}
-
-double Dataset::positive_fraction() const {
-    if (empty()) return 0.0;
-    std::size_t positives = 0;
-    for (const double y : labels_) {
-        if (y > 0.0) ++positives;
-    }
-    return static_cast<double>(positives) / static_cast<double>(size());
 }
 
 }  // namespace drel::models

@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/vector_ops.hpp"
-#include "stats/rng.hpp"
 
 namespace drel::models {
 
@@ -40,21 +38,11 @@ class Dataset {
 
     double label(std::size_t i) const { return labels_.at(i); }
 
-    /// Appends one example.
-    void push_back(const linalg::Vector& x, double y);
-
     /// Subset by indices (duplicates allowed — used by bootstrap resampling).
     Dataset subset(const std::vector<std::size_t>& indices) const;
 
-    /// Randomly splits into (train of `train_fraction`, rest). Shuffles with
-    /// `rng` so the split is reproducible from the experiment seed.
-    std::pair<Dataset, Dataset> split(double train_fraction, stats::Rng& rng) const;
-
     /// Merges two datasets with identical dimensionality.
     static Dataset concatenate(const Dataset& a, const Dataset& b);
-
-    /// Fraction of labels equal to +1 (classification convenience).
-    double positive_fraction() const;
 
  private:
     linalg::Matrix features_;

@@ -18,10 +18,6 @@ double LinearModel::decision_value(const linalg::Vector& x) const {
     return linalg::dot(weights_, x);
 }
 
-double LinearModel::predict_class(const linalg::Vector& x) const {
-    return class_of(decision_value(x));
-}
-
 double LinearModel::predict_probability(const linalg::Vector& x) const {
     return probability_of(decision_value(x));
 }

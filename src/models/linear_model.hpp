@@ -23,16 +23,14 @@ class LinearModel {
     /// <w, x>
     double decision_value(const linalg::Vector& x) const;
 
-    /// sign(<w, x>) in {-1, +1}; ties break to +1.
-    double predict_class(const linalg::Vector& x) const;
-
     /// sigmoid(<w, x>) — probability of class +1 under the logistic link.
     double predict_probability(const linalg::Vector& x) const;
 
-    // The same three over the dim() entries at `x`, unchecked: the
-    // allocation-free form for loops over Dataset::feature_row_data, whose
-    // caller checks the dataset's dimension once. Inline, so a metric's
-    // loop over rows compiles to the dot itself.
+    // The same two, and the class sign(<w, x>) in {-1, +1} with ties to +1,
+    // over the dim() entries at `x`, unchecked: the allocation-free form for
+    // loops over Dataset::feature_row_data, whose caller checks the
+    // dataset's dimension once. Inline, so a metric's loop over rows
+    // compiles to the dot itself.
     double decision_value(const double* x) const noexcept {
         return linalg::dot_n(weights_.data(), x, weights_.size());
     }
@@ -59,7 +57,7 @@ class LinearModel {
                                     double epsilon) const;
 
  private:
-    /// The tie rule of both predict_class overloads: ties break to +1.
+    /// The tie rule of predict_class: ties break to +1.
     static double class_of(double decision) noexcept { return decision >= 0.0 ? 1.0 : -1.0; }
 
     linalg::Vector weights_;

@@ -25,10 +25,6 @@ SoftmaxModel::SoftmaxModel(std::size_t num_classes, linalg::Vector stacked)
     }
 }
 
-SoftmaxModel SoftmaxModel::zeros(std::size_t num_classes, std::size_t dim) {
-    return SoftmaxModel(num_classes, linalg::Vector(num_classes * dim, 0.0));
-}
-
 linalg::Vector SoftmaxModel::logits(const linalg::Vector& x) const {
     const std::size_t d = feature_dim();
     if (x.size() != d) throw std::invalid_argument("SoftmaxModel::logits: dimension mismatch");

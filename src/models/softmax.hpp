@@ -35,8 +35,6 @@ class SoftmaxModel {
     /// num_classes.
     SoftmaxModel(std::size_t num_classes, linalg::Vector stacked);
 
-    static SoftmaxModel zeros(std::size_t num_classes, std::size_t dim);
-
     std::size_t num_classes() const noexcept { return num_classes_; }
     std::size_t feature_dim() const noexcept {
         return num_classes_ == 0 ? 0 : stacked_.size() / num_classes_;

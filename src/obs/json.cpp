@@ -290,15 +290,6 @@ class Parser {
 
 }  // namespace
 
-JsonValue::JsonValue(int value) : kind_(Kind::kUint) {
-    if (value < 0) {
-        kind_ = Kind::kDouble;
-        double_ = value;
-    } else {
-        uint_ = static_cast<std::uint64_t>(value);
-    }
-}
-
 bool JsonValue::as_bool() const {
     if (!is_bool()) kind_error("bool", kind_);
     return bool_;
@@ -328,20 +319,6 @@ const JsonValue::Array& JsonValue::as_array() const {
 const JsonValue::Object& JsonValue::as_object() const {
     if (!is_object()) kind_error("object", kind_);
     return object_;
-}
-
-JsonValue::Array& JsonValue::as_array() {
-    if (!is_array()) kind_error("array", kind_);
-    return array_;
-}
-
-JsonValue::Object& JsonValue::as_object() {
-    if (!is_object()) kind_error("object", kind_);
-    return object_;
-}
-
-bool JsonValue::contains(std::string_view key) const {
-    return as_object().find(std::string(key)) != as_object().end();
 }
 
 const JsonValue& JsonValue::at(std::string_view key) const {

@@ -33,7 +33,6 @@ class JsonValue {
     JsonValue() : kind_(Kind::kNull) {}
     JsonValue(bool value) : kind_(Kind::kBool), bool_(value) {}                 // NOLINT
     JsonValue(std::uint64_t value) : kind_(Kind::kUint), uint_(value) {}        // NOLINT
-    JsonValue(int value);                                                       // NOLINT
     JsonValue(double value) : kind_(Kind::kDouble), double_(value) {}           // NOLINT
     JsonValue(std::string value) : kind_(Kind::kString), string_(std::move(value)) {}  // NOLINT
     JsonValue(const char* value) : kind_(Kind::kString), string_(value) {}      // NOLINT
@@ -58,12 +57,9 @@ class JsonValue {
     const std::string& as_string() const;
     const Array& as_array() const;
     const Object& as_object() const;
-    Array& as_array();
-    Object& as_object();
 
-    /// Object conveniences. `contains`/`at` throw if this is not an object;
-    /// `at` additionally throws if the key is missing (message names it).
-    bool contains(std::string_view key) const;
+    /// Object member; throws if this is not an object or the key is missing
+    /// (the message names it).
     const JsonValue& at(std::string_view key) const;
 
     /// Serializes deterministically: object keys in sorted (map) order,

@@ -67,9 +67,21 @@ std::size_t bucket_of(const std::vector<std::uint64_t>& bounds, std::uint64_t va
                                     bounds.begin());
 }
 
-std::uint64_t snapshot_quantile_bound(const std::vector<std::uint64_t>& bounds,
-                                      const std::vector<std::uint64_t>& buckets,
-                                      std::uint64_t count, double q) {
+}  // namespace
+
+void HistogramSnapshot::observe(std::uint64_t value) noexcept {
+    ++buckets[bucket_of(bounds, value)];
+    ++count;
+    sum += value;
+}
+
+void HistogramSnapshot::clear() noexcept {
+    std::fill(buckets.begin(), buckets.end(), 0);
+    count = 0;
+    sum = 0;
+}
+
+std::uint64_t HistogramSnapshot::quantile_bound(double q) const {
     if (!(q >= 0.0 && q <= 1.0)) {
         throw std::invalid_argument("quantile_bound: q must be in [0, 1]");
     }
@@ -87,24 +99,6 @@ std::uint64_t snapshot_quantile_bound(const std::vector<std::uint64_t>& bounds,
         }
     }
     return kHistogramOverflowBound;  // unreachable when count matches buckets
-}
-
-}  // namespace
-
-void HistogramSnapshot::observe(std::uint64_t value) noexcept {
-    ++buckets[bucket_of(bounds, value)];
-    ++count;
-    sum += value;
-}
-
-void HistogramSnapshot::clear() noexcept {
-    std::fill(buckets.begin(), buckets.end(), 0);
-    count = 0;
-    sum = 0;
-}
-
-std::uint64_t HistogramSnapshot::quantile_bound(double q) const {
-    return snapshot_quantile_bound(bounds, buckets, count, q);
 }
 
 JsonValue HistogramSnapshot::to_json() const {
@@ -167,10 +161,6 @@ HistogramSnapshot Histogram::snapshot() const {
     out.count = count();
     out.sum = sum();
     return out;
-}
-
-std::uint64_t Histogram::quantile_bound(double q) const {
-    return snapshot_quantile_bound(bounds_, bucket_counts(), count(), q);
 }
 
 void Histogram::reset() noexcept {
@@ -255,13 +245,6 @@ JsonValue Registry::deterministic_snapshot() const {
     out.emplace("gauges", std::move(gauges));
     out.emplace("histograms", std::move(histograms));
     return JsonValue(std::move(out));
-}
-
-std::string Registry::deterministic_json() const {
-    JsonValue::Object doc;
-    doc.emplace("schema_version", kMetricsSchemaVersion);
-    doc.emplace("metrics", deterministic_snapshot());
-    return JsonValue(std::move(doc)).dump();
 }
 
 // ------------------------------------------------------------------- sidecar

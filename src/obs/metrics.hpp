@@ -44,14 +44,11 @@
 
 namespace drel::obs {
 
-/// Version stamp embedded in every exported snapshot/sidecar document.
-inline constexpr std::uint64_t kMetricsSchemaVersion = 1;
-
 /// Bench sidecar document version. v2 added the optional "health" block
 /// (fleet telemetry: RoundSeries, latency histograms, SLO report); v3
-/// dropped the wall-clock "timing" block. Kept separate from
-/// kMetricsSchemaVersion so golden metric documents (tests/golden/*.json)
-/// did not need re-recording for sidecar changes.
+/// dropped the wall-clock "timing" block. The golden metric documents
+/// (tests/golden/*.json) carry their own version, so sidecar changes do not
+/// re-record them.
 inline constexpr std::uint64_t kBenchSidecarSchemaVersion = 3;
 
 /// False iff the environment sets DREL_METRICS=0 (checked once, cached),
@@ -197,9 +194,6 @@ class Histogram {
     /// Value-type copy of the current state.
     HistogramSnapshot snapshot() const;
 
-    /// snapshot().quantile_bound(q) without materialising the snapshot.
-    std::uint64_t quantile_bound(double q) const;
-
     void reset() noexcept;
 
  private:
@@ -234,9 +228,6 @@ class Registry {
     /// last reset. Byte-identical across thread counts for deterministic
     /// workloads.
     JsonValue deterministic_snapshot() const;
-
-    /// Golden-file document: {"schema_version": N, "metrics": <deterministic>}.
-    std::string deterministic_json() const;
 
  private:
     mutable std::mutex mutex_;

@@ -295,10 +295,6 @@ void Profiler::enable() noexcept {
     detail::g_profile_enabled.store(true, std::memory_order_relaxed);
 }
 
-void Profiler::disable() noexcept {
-    detail::g_profile_enabled.store(false, std::memory_order_relaxed);
-}
-
 void Profiler::enable_trace(std::string path) {
     detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
     {
@@ -307,16 +303,6 @@ void Profiler::enable_trace(std::string path) {
     }
     detail::g_trace_enabled.store(true, std::memory_order_relaxed);
     enable();
-}
-
-void Profiler::disable_trace() noexcept {
-    detail::g_trace_enabled.store(false, std::memory_order_relaxed);
-}
-
-std::size_t Profiler::trace_event_count() const {
-    const detail::TraceBuffer& buffer = detail::TraceBuffer::instance();
-    const std::lock_guard<std::mutex> lock(buffer.mutex);
-    return buffer.events.size();
 }
 
 void Profiler::clear_trace() {
@@ -456,13 +442,6 @@ JsonValue Profiler::timing_snapshot() const {
         timings.emplace(path, std::move(entry));
     }
     return JsonValue(std::move(timings));
-}
-
-std::string Profiler::deterministic_json() const {
-    JsonValue::Object doc;
-    doc.emplace("schema_version", kProfileSchemaVersion);
-    doc.emplace("phases", deterministic_snapshot().at("phases"));
-    return JsonValue(std::move(doc)).dump();
 }
 
 std::string Profiler::json() const {

@@ -102,7 +102,6 @@ class Profiler {
 
     bool enabled() const noexcept { return profiler_enabled(); }
     void enable() noexcept;
-    void disable() noexcept;
 
     /// Zeroes every phase's count/time on every thread (tree structure and
     /// handles survive). Call from a quiescent point: a frame open across
@@ -130,8 +129,6 @@ class Profiler {
     /// self_cpu_seconds}} — never golden-diffed.
     JsonValue timing_snapshot() const;
 
-    /// Golden-file document: {"schema_version": N, "phases": {...counts}}.
-    std::string deterministic_json() const;
 
     /// Full document: {"schema_version": N, "counts": {...},
     /// "timing": {...}} — what DREL_PROFILE=<path> writes at exit.
@@ -144,11 +141,6 @@ class Profiler {
     /// Sets the trace output path, turns tracing on and enables the
     /// profiler. Replaces any earlier path; buffered events are kept.
     void enable_trace(std::string path);
-    /// Stops appending trace events (the profiler stays as it is); buffered
-    /// events and the path survive, so flush_trace() still writes them.
-    void disable_trace() noexcept;
-
-    std::size_t trace_event_count() const;
     void clear_trace();
 
     /// The chrome://tracing document for every buffered event:
@@ -165,11 +157,10 @@ class Profiler {
     Profiler() = default;
 };
 
-/// RAII phase frame. Near-free when profiling is disabled at entry; a
-/// frame that began while enabled always completes (pops and records, plus
-/// a trace event while tracing) even if the profiler is disabled
-/// mid-scope, so the stack never corrupts. Unwinding through an exception
-/// pops normally (destructor).
+/// RAII phase frame. Near-free when profiling is off at entry; a frame that
+/// began while on always completes (pops and records, plus a trace event
+/// while tracing), so the stack never corrupts. Unwinding through an
+/// exception pops normally (destructor).
 class ProfileFrame {
  public:
     explicit ProfileFrame(const char* name) noexcept {

@@ -37,13 +37,6 @@ RoundSeries::RoundSeries(const char* const* names, std::size_t num_columns)
     }
 }
 
-const char* RoundSeries::column_name(std::size_t col) const {
-    if (col >= num_columns_) {
-        throw std::out_of_range("RoundSeries::column_name: column out of range");
-    }
-    return names_[col];
-}
-
 std::size_t RoundSeries::column_index(std::string_view name) const {
     for (std::size_t c = 0; c < num_columns_; ++c) {
         if (name == names_[c]) return c;

@@ -56,7 +56,6 @@ class RoundSeries {
     std::size_t num_rows() const noexcept {
         return num_columns_ == 0 ? 0 : data_.size() / num_columns_;
     }
-    const char* column_name(std::size_t col) const;
 
     /// Index of the named column; throws std::invalid_argument if absent.
     std::size_t column_index(std::string_view name) const;

@@ -12,17 +12,6 @@ double mean(const linalg::Vector& x) {
     return linalg::sum(x) / static_cast<double>(x.size());
 }
 
-double variance(const linalg::Vector& x) {
-    if (x.empty()) throw std::invalid_argument("variance: empty input");
-    if (x.size() < 2) return 0.0;
-    const double m = mean(x);
-    double acc = 0.0;
-    for (const double v : x) acc += (v - m) * (v - m);
-    return acc / static_cast<double>(x.size() - 1);
-}
-
-double stddev(const linalg::Vector& x) { return std::sqrt(variance(x)); }
-
 double quantile(linalg::Vector x, double q) {
     if (x.empty()) throw std::invalid_argument("quantile: empty input");
     if (!(q >= 0.0) || !(q <= 1.0)) throw std::invalid_argument("quantile: q must be in [0,1]");

@@ -14,11 +14,6 @@ namespace drel::stats {
 
 double mean(const linalg::Vector& x);
 
-/// Unbiased sample variance (n-1 denominator); 0 for n < 2.
-double variance(const linalg::Vector& x);
-
-double stddev(const linalg::Vector& x);
-
 /// Empirical quantile with linear interpolation; q in [0, 1].
 double quantile(linalg::Vector x, double q);
 

@@ -67,8 +67,7 @@ double MultivariateNormal::mahalanobis_sq_ws(const linalg::Vector& x,
         throw std::invalid_argument("MultivariateNormal::mahalanobis_sq: dimension mismatch");
     }
     // ||L⁻¹ (x - mean)||², with the residual and triangular solve done in a
-    // leased buffer. Same substitution and dot order as
-    // chol_.quad_form_inv(sub(x, mean_)).
+    // leased buffer.
     auto diff = ws.vec(dim());
     linalg::sub_into(x, mean_, *diff);
     chol_.solve_lower_in_place(*diff);
@@ -84,19 +83,6 @@ linalg::Vector MultivariateNormal::precision_times_residual(const linalg::Vector
     linalg::sub_into(x, mean_, out);
     chol_.solve_in_place(out);
     return out;
-}
-
-void MultivariateNormal::add_scaled_precision_residual(const linalg::Vector& x, double coeff,
-                                                       linalg::Vector& out,
-                                                       util::Workspace& ws) const {
-    if (x.size() != dim() || out.size() != dim()) {
-        throw std::invalid_argument(
-            "MultivariateNormal::add_scaled_precision_residual: dimension mismatch");
-    }
-    auto r = ws.vec(dim());
-    linalg::sub_into(x, mean_, *r);
-    chol_.solve_in_place(*r);
-    linalg::axpy_n(coeff, r->data(), out.data(), dim());
 }
 
 linalg::Vector MultivariateNormal::sample(Rng& rng) const {

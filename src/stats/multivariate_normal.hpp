@@ -56,11 +56,6 @@ class MultivariateNormal {
     double log_pdf_ws(const linalg::Vector& x, util::Workspace& ws) const;
     double mahalanobis_sq_ws(const linalg::Vector& x, util::Workspace& ws) const;
 
-    /// out += coeff * Σ⁻¹ (x - mean), scratch from `ws`. Bit-identical to
-    /// axpy(coeff, precision_times_residual(x), out).
-    void add_scaled_precision_residual(const linalg::Vector& x, double coeff,
-                                       linalg::Vector& out, util::Workspace& ws) const;
-
     linalg::Vector sample(Rng& rng) const;
 
  private:

@@ -28,22 +28,6 @@ double polar_scale(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
 }  // namespace
 
-double Rng::uniform(double lo, double hi) {
-    if (!(lo < hi) || !std::isfinite(lo) || !std::isfinite(hi)) {
-        throw std::invalid_argument("Rng::uniform: requires finite lo < hi");
-    }
-    const double u = uniform();
-    double x = lo + (hi - lo) * u;
-    if (!std::isfinite(hi - lo)) {
-        // The span overflows a double: interpolate at half scale instead.
-        x = 2.0 * (0.5 * lo + (0.5 * hi - 0.5 * lo) * u);
-    }
-    // Rounding can land on either end of a span only a few ulps wide.
-    if (x < lo) return lo;
-    if (x >= hi) return std::nextafter(hi, lo);
-    return x;
-}
-
 std::size_t Rng::uniform_index(std::size_t n) {
     if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be positive");
     const std::uint64_t range = n;
@@ -133,12 +117,6 @@ double Rng::beta(double a, double b) {
     return x / (x + y);
 }
 
-double Rng::exponential(double rate) {
-    if (!(rate > 0.0)) throw std::invalid_argument("Rng::exponential: rate must be positive");
-    // 1 - U lies in (0, 1], so the logarithm is finite.
-    return -std::log1p(-uniform()) / rate;
-}
-
 std::size_t Rng::categorical(const linalg::Vector& weights) {
     if (weights.empty()) throw std::invalid_argument("Rng::categorical: empty weights");
     double total = 0.0;
@@ -161,25 +139,6 @@ std::size_t categorical_index(const linalg::Vector& weights, double u) noexcept 
     std::size_t last = weights.size() - 1;
     while (last > 0 && !(weights[last] > 0.0)) --last;
     return last;
-}
-
-linalg::Vector Rng::dirichlet(const linalg::Vector& alpha) {
-    if (alpha.empty()) throw std::invalid_argument("Rng::dirichlet: empty alpha");
-    linalg::Vector out(alpha.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < alpha.size(); ++i) {
-        out[i] = gamma(alpha[i]);
-        total += out[i];
-    }
-    if (total <= 0.0) {
-        // Extremely small alphas can underflow every gamma draw; fall back to
-        // a one-hot draw, which is the correct limiting behaviour.
-        linalg::Vector one_hot(alpha.size(), 0.0);
-        one_hot[categorical(alpha)] = 1.0;
-        return one_hot;
-    }
-    for (double& v : out) v /= total;
-    return out;
 }
 
 linalg::Vector Rng::standard_normal_vector(std::size_t n) {

@@ -9,7 +9,7 @@
 // The engine is xoshiro256** (32 bytes of state) seeded by SplitMix64, so a
 // fork costs a handful of integer mixes; the fleet derives streams per
 // device and round. Every transform from raw bits to a variate (uniform,
-// bounded integer, normal, exponential) is implemented here rather than
+// bounded integer, normal, gamma) is implemented here rather than
 // taken from `std::*_distribution`, whose output is implementation-defined:
 // a seed produces the same draws under any standard library.
 #pragma once
@@ -45,8 +45,6 @@ class Rng {
 
     /// U[0,1): the top 53 bits of one engine output.
     double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
-    /// U[lo,hi) for finite lo < hi; never returns hi, whatever the span.
-    double uniform(double lo, double hi);
     /// Uniform integer in [0, n), unbiased (Lemire's multiply-shift).
     std::size_t uniform_index(std::size_t n);
 
@@ -67,15 +65,9 @@ class Rng {
     /// Beta(a, b)
     double beta(double a, double b);
 
-    /// Exponential with the given rate, by inversion.
-    double exponential(double rate);
-
     /// Draws an index with probability proportional to `weights` (must be
     /// non-negative and not all zero).
     std::size_t categorical(const linalg::Vector& weights);
-
-    /// Draws from Dirichlet(alpha).
-    linalg::Vector dirichlet(const linalg::Vector& alpha);
 
     /// Vector of iid N(0,1).
     linalg::Vector standard_normal_vector(std::size_t n);

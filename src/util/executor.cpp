@@ -133,28 +133,9 @@ void Executor::parallel_for(std::size_t count, std::size_t num_threads,
     if (state->first_error) std::rethrow_exception(state->first_error);
 }
 
-void Executor::parallel_for_chunked(std::size_t count, std::size_t num_threads,
-                                    std::size_t grain,
-                                    const std::function<void(std::size_t, std::size_t)>& body) {
-    if (!body) throw std::invalid_argument("parallel_for_chunked: body must be callable");
-    if (count == 0) return;
-    const std::size_t runners = std::max<std::size_t>(1, std::min(num_threads, count));
-    if (grain == 0) grain = std::max<std::size_t>(1, count / (8 * runners));
-    const std::size_t num_chunks = (count + grain - 1) / grain;
-    parallel_for(num_chunks, num_threads, [body, count, grain](std::size_t c) {
-        const std::size_t begin = c * grain;
-        body(begin, std::min(count, begin + grain));
-    });
-}
-
 void parallel_for(std::size_t count, std::size_t num_threads,
                   const std::function<void(std::size_t)>& body) {
     Executor::global().parallel_for(count, num_threads, body);
-}
-
-void parallel_for_chunked(std::size_t count, std::size_t num_threads, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& body) {
-    Executor::global().parallel_for_chunked(count, num_threads, grain, body);
 }
 
 }  // namespace drel::util

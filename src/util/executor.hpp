@@ -1,5 +1,5 @@
-// Shared parallel executor: parallel_for / parallel_for_chunked on a
-// lazily-created, process-wide thread pool.
+// Shared parallel executor: parallel_for on a lazily-created, process-wide
+// thread pool.
 //
 // Design (see DESIGN.md "Concurrency & determinism"):
 //
@@ -93,15 +93,6 @@ class Executor {
     void parallel_for(std::size_t count, std::size_t num_threads,
                       const std::function<void(std::size_t)>& body);
 
-    /// Like parallel_for but hands each runner a half-open index range
-    /// body(begin, end) of at most `grain` iterations — use when per-index
-    /// dispatch is too fine. grain == 0 picks one chunk per runner wave
-    /// (count / (8 * num_threads), at least 1). Chunks are claimed
-    /// dynamically; the chunk grid does not affect which index does what,
-    /// so results are schedule-independent as long as the body is.
-    void parallel_for_chunked(std::size_t count, std::size_t num_threads, std::size_t grain,
-                              const std::function<void(std::size_t, std::size_t)>& body);
-
  private:
     ThreadPool& pool();
 
@@ -114,9 +105,5 @@ class Executor {
 /// the shared global executor. Semantics of Executor::parallel_for.
 void parallel_for(std::size_t count, std::size_t num_threads,
                   const std::function<void(std::size_t)>& body);
-
-/// Chunked variant on the shared global executor.
-void parallel_for_chunked(std::size_t count, std::size_t num_threads, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace drel::util

@@ -38,15 +38,6 @@ double parse_double(std::string_view text) {
     return value;
 }
 
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i) out += sep;
-        out += items[i];
-    }
-    return out;
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) noexcept {
     return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }

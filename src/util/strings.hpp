@@ -16,9 +16,6 @@ std::string_view trim(std::string_view text) noexcept;
 /// Parses a double, throwing std::invalid_argument with context on failure.
 double parse_double(std::string_view text);
 
-/// Joins items with `sep`.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
-
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix) noexcept;
 

@@ -1,8 +1,8 @@
 // Fixed-size thread pool that drains on shutdown.
 //
 // The pool is deliberately minimal: fixed worker count, FIFO queue, futures
-// for joining, no work stealing. Higher-level parallel loops (parallel_for,
-// parallel_for_chunked) live in util/executor.hpp and run on a shared,
+// for joining, no work stealing. The higher-level parallel loop
+// (parallel_for) lives in util/executor.hpp and runs on a shared,
 // lazily-created global instance of this pool so hot paths do not pay
 // thread creation per call.
 //

@@ -32,7 +32,7 @@ void validate_sidecar(const obs::JsonValue& doc, const std::string& bench_name) 
 
     const obs::JsonValue& deterministic = doc.at("deterministic");
     for (const char* section : {"counters", "gauges", "histograms"}) {
-        ASSERT_TRUE(deterministic.contains(section)) << section;
+        ASSERT_TRUE(deterministic.as_object().count(section)) << section;
         ASSERT_TRUE(deterministic.at(section).is_object()) << section;
     }
     for (const auto& [name, value] : deterministic.at("counters").as_object()) {
@@ -50,7 +50,7 @@ void validate_sidecar(const obs::JsonValue& doc, const std::string& bench_name) 
         EXPECT_TRUE(histogram.at("count").is_uint()) << "histogram " << name;
         EXPECT_TRUE(histogram.at("sum").is_uint()) << "histogram " << name;
     }
-    EXPECT_FALSE(doc.contains("timing"));
+    EXPECT_FALSE(doc.as_object().count("timing"));
 }
 
 void validate_histogram_snapshot(const obs::JsonValue& histogram, const char* what) {
@@ -75,7 +75,7 @@ void validate_health_block(const obs::JsonValue& health) {
     ASSERT_EQ(columns.size(), health::kFleetNumColumns);
     const obs::RoundSeries schema = health::make_fleet_series();
     for (std::size_t c = 0; c < columns.size(); ++c) {
-        EXPECT_EQ(columns[c].as_string(), schema.column_name(c));
+        EXPECT_EQ(schema.column_index(columns[c].as_string()), c);
     }
     for (const auto& row : series.at("rows").as_array()) {
         ASSERT_EQ(row.as_array().size(), columns.size());
@@ -92,7 +92,7 @@ void validate_health_block(const obs::JsonValue& health) {
         EXPECT_TRUE(rule.at("observed").is_number());
         EXPECT_TRUE(rule.at("warn").is_number());
         EXPECT_TRUE(rule.at("fail").is_number());
-        ASSERT_TRUE(rule.contains("first_violating_round"));
+        ASSERT_TRUE(rule.as_object().count("first_violating_round"));
     }
 
     const obs::JsonValue& partition = health.at("partition");
@@ -125,9 +125,9 @@ TEST_F(BenchSchema, Fig7FleetSidecarMatchesSchema) {
     // A fleet workload must surface the headline counters and gauges the
     // downstream tooling keys on.
     const obs::JsonValue& deterministic = doc.at("deterministic");
-    EXPECT_TRUE(deterministic.at("counters").contains("fleet.devices_trained"));
-    EXPECT_TRUE(deterministic.at("counters").contains("em.solve_calls"));
-    EXPECT_TRUE(deterministic.at("gauges").contains("fleet.prior_components"));
+    EXPECT_TRUE(deterministic.at("counters").as_object().count("fleet.devices_trained"));
+    EXPECT_TRUE(deterministic.at("counters").as_object().count("em.solve_calls"));
+    EXPECT_TRUE(deterministic.at("gauges").as_object().count("fleet.prior_components"));
 }
 
 TEST_F(BenchSchema, Table2MethodsSidecarMatchesSchema) {
@@ -146,8 +146,8 @@ TEST_F(BenchSchema, Fig15ChaosSidecarSurfacesFaultCounters) {
     const obs::JsonValue doc = obs::bench_sidecar_json("bench_fig15_chaos");
     validate_sidecar(doc, "bench_fig15_chaos");
     const obs::JsonValue& counters = doc.at("deterministic").at("counters");
-    EXPECT_TRUE(counters.contains("fault.injected.crash"));
-    EXPECT_TRUE(counters.contains("fault.degraded.crashed"));
+    EXPECT_TRUE(counters.as_object().count("fault.injected.crash"));
+    EXPECT_TRUE(counters.as_object().count("fault.degraded.crashed"));
 }
 
 TEST_F(BenchSchema, FleetScaleSidecarCarriesValidHealthBlock) {
@@ -167,7 +167,7 @@ TEST_F(BenchSchema, FleetScaleSidecarCarriesValidHealthBlock) {
     const obs::JsonValue health_json = report.engine.telemetry.to_json(&slo);
     const obs::JsonValue doc = obs::bench_sidecar_json("bench_fleet_scale", &health_json);
     validate_sidecar(doc, "bench_fleet_scale");
-    ASSERT_TRUE(doc.contains("health"));
+    ASSERT_TRUE(doc.as_object().count("health"));
     validate_health_block(doc.at("health"));
     EXPECT_EQ(doc.at("health").at("series").at("rows").as_array().size(), config.rounds);
     // Survives a serialize/parse round trip like the rest of the document.

@@ -6,6 +6,7 @@
 #include "edgesim/collaborative.hpp"
 #include "models/metrics.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::edgesim {
 namespace {
@@ -103,7 +104,8 @@ TEST(Collaborative, Validation) {
     const Fleet f = make_fleet(4, 2, 10);
     EXPECT_THROW(collaborative_fit({}, f.prior), std::invalid_argument);
     EXPECT_THROW(collaborative_fit({nullptr}, f.prior), std::invalid_argument);
-    const models::Dataset wrong(linalg::Matrix(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0});
+    const models::Dataset wrong(test_support::matrix_of(2, 2, {1.0, 1.0, -1.0, 1.0}),
+                                {1.0, -1.0});
     EXPECT_THROW(collaborative_fit({&wrong}, f.prior), std::invalid_argument);
     CollaborativeConfig bad;
     bad.transfer_weight = -1.0;

@@ -282,7 +282,7 @@ TEST(MetricsDeterminism, FleetCountersBitIdenticalAcrossThreadCounts) {
         obs::Registry::global().reset();
         stats::Rng rng(4242);
         (void)edgesim::run_fleet_simulation(config, rng);
-        const std::string snapshot = obs::Registry::global().deterministic_json();
+        const std::string snapshot = obs::Registry::global().deterministic_snapshot().dump();
         ASSERT_NE(snapshot.find("fleet.devices_trained"), std::string::npos);
         if (baseline.empty()) {
             baseline = snapshot;

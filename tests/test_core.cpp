@@ -174,7 +174,7 @@ TEST(EdgeLearner, FitReportIsCoherent) {
 TEST(EdgeLearner, RejectsDimensionMismatch) {
     const Fixture f = make_fixture(11);
     const EdgeLearner learner(f.prior, {});
-    const models::Dataset wrong(linalg::Matrix(3, 2, {1.0, 1.0, 2.0, 1.0, 3.0, 1.0}),
+    const models::Dataset wrong(test_support::matrix_of(3, 2, {1.0, 1.0, 2.0, 1.0, 3.0, 1.0}),
                                 {1.0, -1.0, 1.0});
     EXPECT_THROW(learner.fit(wrong), std::invalid_argument);
 }

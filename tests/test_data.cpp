@@ -111,13 +111,15 @@ TEST(TaskPopulation, OutlierInjectionPlacesFarPoints) {
     const TaskSpec task = pop.sample_task(rng);
     DataOptions options;
     options.outlier_fraction = 0.2;
-    options.outlier_radius = 50.0;
     const models::Dataset d = pop.generate(task, 100, rng, options);
     std::size_t far = 0;
     for (std::size_t i = 0; i < d.size(); ++i) {
         linalg::Vector x = d.feature_row(i);
         x.pop_back();  // drop bias
-        if (linalg::norm2(x) > 25.0) ++far;
+        if (linalg::norm2(x) > 7.5) {
+            ++far;  // outliers sit at distance 8
+            EXPECT_NEAR(linalg::norm2(x), 8.0, 1e-12);
+        }
     }
     EXPECT_EQ(far, 20u);
 }
@@ -133,10 +135,9 @@ TEST(TaskPopulation, GenerateValidatesArguments) {
     options.feature_shift = {1.0};  // wrong dim
     EXPECT_THROW(pop.generate(task, 10, rng, options), std::invalid_argument);
 
-    // Probabilities outside [0, 1] or NaN, and non-finite scales, are
-    // rejected before any draw: the stream is where it was.
+    // Probabilities outside [0, 1] or NaN are rejected before any draw: the
+    // stream is where it was.
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double inf = std::numeric_limits<double>::infinity();
     const stats::Rng before = rng;
     for (const double bad_fraction : {-0.1, 1.5, nan}) {
         DataOptions outliers;
@@ -145,14 +146,6 @@ TEST(TaskPopulation, GenerateValidatesArguments) {
         DataOptions noise;
         noise.label_noise = bad_fraction;
         EXPECT_THROW(pop.generate(task, 10, rng, noise), std::invalid_argument);
-    }
-    for (const double bad_scale : {inf, -inf, nan}) {
-        DataOptions scale;
-        scale.feature_scale = bad_scale;
-        EXPECT_THROW(pop.generate(task, 10, rng, scale), std::invalid_argument);
-        DataOptions radius;
-        radius.outlier_radius = bad_scale;
-        EXPECT_THROW(pop.generate(task, 10, rng, radius), std::invalid_argument);
     }
     stats::Rng untouched = before;
     EXPECT_EQ(rng.uniform(), untouched.uniform());
@@ -168,7 +161,7 @@ TEST(TaskPopulation, GenerateValidatesArguments) {
 // that enters its arithmetic, and of generate_regression_data(). Recorded
 // from the generator that built every sample in its own vector and copied
 // it into the dataset, so writing samples straight into the rows has to
-// reproduce each draw, scale, shift, label and outlier.
+// reproduce each draw, shift, label and outlier.
 TEST(TaskPopulation, GeneratePinned) {
     using test_support::bits_digest;
     const auto digest = [](const models::Dataset& d) {
@@ -180,8 +173,6 @@ TEST(TaskPopulation, GeneratePinned) {
         const TaskSpec task = pop.sample_task(rng);
         return digest(pop.generate(task, 48, rng, options));
     };
-    DataOptions scaled;
-    scaled.feature_scale = 1.7;
     DataOptions shifted;
     shifted.feature_shift = {0.5, -1.0, 0.25, 0.0, 2.0, -0.75, 1.5, -0.125};
     DataOptions noisy;
@@ -190,7 +181,6 @@ TEST(TaskPopulation, GeneratePinned) {
     outliers.outlier_fraction = 0.25;
 
     EXPECT_EQ(generated({}), "1a6139bd2eb91e0b 73b8a315dab5d1a5");
-    EXPECT_EQ(generated(scaled), "efe83cb938909c92 8d553d2601d28425");
     EXPECT_EQ(generated(shifted), "f8be73b3e144c11b 73b8a315dab5d1a5");
     EXPECT_EQ(generated(noisy), "1a6139bd2eb91e0b 70861396351e96a5");
     EXPECT_EQ(generated(outliers), "721c0096c548263c a3d8b2bd9b9045a5");
@@ -202,6 +192,13 @@ TEST(TaskPopulation, GeneratePinned) {
 }
 
 // ------------------------------------------------------------------ shifts
+
+/// Fraction of labels equal to +1.
+double positive_fraction(const models::Dataset& d) {
+    std::size_t positives = 0;
+    for (const double y : d.labels()) positives += y > 0.0 ? 1 : 0;
+    return static_cast<double>(positives) / static_cast<double>(d.size());
+}
 
 models::Dataset shift_fixture(stats::Rng& rng, std::size_t n = 500) {
     const TaskPopulation pop = TaskPopulation::make_synthetic(4, 2, 2.0, 0.05, rng);
@@ -245,13 +242,13 @@ TEST(Shifts, LabelShiftHitsTargetFraction) {
     stats::Rng rng(14);
     const models::Dataset d = shift_fixture(rng, 1000);
     const models::Dataset shifted = apply_label_shift(d, 0.8, rng);
-    EXPECT_NEAR(shifted.positive_fraction(), 0.8, 0.01);
+    EXPECT_NEAR(positive_fraction(shifted), 0.8, 0.01);
     EXPECT_EQ(shifted.size(), d.size());
 }
 
 TEST(Shifts, LabelShiftRejectsImpossibleTargets) {
     // All-positive dataset cannot be resampled to contain negatives.
-    const models::Dataset d(linalg::Matrix(3, 2, {1.0, 1.0, 2.0, 1.0, 3.0, 1.0}),
+    const models::Dataset d(test_support::matrix_of(3, 2, {1.0, 1.0, 2.0, 1.0, 3.0, 1.0}),
                             {1.0, 1.0, 1.0});
     stats::Rng rng(15);
     EXPECT_THROW(apply_label_shift(d, 0.5, rng), std::invalid_argument);
@@ -294,7 +291,7 @@ TEST(Scenarios, LabelShiftScenarioSkewsTestBalance) {
     config.n_test = 2000;
     stats::Rng rng(18);
     const Scenario s = make_test_scenario(ScenarioKind::kLabelShift, config, rng);
-    EXPECT_NEAR(s.edge_test.positive_fraction(), 0.8, 0.02);
+    EXPECT_NEAR(positive_fraction(s.edge_test), 0.8, 0.02);
 }
 
 TEST(Scenarios, SameTaskSharesGroundTruth) {

@@ -258,9 +258,9 @@ TEST(RobustObjective, FactoryDispatchesAllKinds) {
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
     const double erm = make_robust_objective(d, *loss, AmbiguitySet::none())->value(theta);
     for (const AmbiguitySet set : {AmbiguitySet::wasserstein(0.2), AmbiguitySet::kl(0.2),
-                                   AmbiguitySet::chi_square(0.2)}) {
+                                   AmbiguitySet{AmbiguityKind::kChiSquare, 0.2}}) {
         const double robust = make_robust_objective(d, *loss, set)->value(theta);
-        EXPECT_GE(robust, erm - 1e-9) << set.to_string();
+        EXPECT_GE(robust, erm - 1e-9) << ambiguity_name(set.kind);
     }
 }
 
@@ -286,10 +286,11 @@ TEST(WorstCase, KlAndChiSquareAttainTheirDuals) {
     const models::Dataset d = fixture_dataset(rng, 30);
     const auto loss = models::make_logistic_loss();
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    for (const AmbiguitySet set : {AmbiguitySet::kl(0.3), AmbiguitySet::chi_square(0.3)}) {
+    for (const AmbiguitySet set :
+         {AmbiguitySet::kl(0.3), AmbiguitySet{AmbiguityKind::kChiSquare, 0.3}}) {
         const WorstCase wc = worst_case_distribution(theta, d, *loss, set);
         const double dual = robust_loss(theta, d, *loss, set);
-        EXPECT_NEAR(wc.expected_loss, dual, 5e-3) << set.to_string();
+        EXPECT_NEAR(wc.expected_loss, dual, 5e-3) << ambiguity_name(set.kind);
     }
 }
 

@@ -17,6 +17,7 @@
 #include "optim/lbfgs.hpp"
 #include "stats/multivariate_normal.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 // ------------------------------------------------------------ tiny problems
 
 TEST(EdgeCases, OneByOneLinearAlgebra) {
-    const linalg::Matrix a(1, 1, {4.0});
+    const linalg::Matrix a = test_support::matrix_of(1, 1, {4.0});
     const linalg::Cholesky chol(a);
     EXPECT_DOUBLE_EQ(chol.lower()(0, 0), 2.0);
     EXPECT_DOUBLE_EQ(chol.solve({8.0})[0], 2.0);
@@ -32,7 +33,7 @@ TEST(EdgeCases, OneByOneLinearAlgebra) {
 }
 
 TEST(EdgeCases, SingleExampleDataset) {
-    const models::Dataset d(linalg::Matrix(1, 2, {1.5, 1.0}), {1.0});
+    const models::Dataset d(test_support::matrix_of(1, 2, {1.5, 1.0}), {1.0});
     const auto loss = models::make_logistic_loss();
     const models::ErmObjective erm(d, *loss, 0.1);
     const auto r = optim::minimize_lbfgs(erm, linalg::zeros(2));
@@ -40,11 +41,11 @@ TEST(EdgeCases, SingleExampleDataset) {
     EXPECT_DOUBLE_EQ(models::accuracy(models::LinearModel(r.x), d), 1.0);
     // DRO duals must handle n=1 (a single atom distribution).
     for (const dro::AmbiguitySet set :
-         {dro::AmbiguitySet::kl(0.3), dro::AmbiguitySet::chi_square(0.3),
+         {dro::AmbiguitySet::kl(0.3), dro::AmbiguitySet{dro::AmbiguityKind::kChiSquare, 0.3},
           dro::AmbiguitySet::wasserstein(0.3)}) {
         EXPECT_GE(dro::robust_loss(r.x, d, *loss, set),
                   dro::robust_loss(r.x, d, *loss, dro::AmbiguitySet::none()) - 1e-9)
-            << set.to_string();
+            << dro::ambiguity_name(set.kind);
     }
 }
 
@@ -62,8 +63,8 @@ TEST(EdgeCases, DuplicateExamplesAreHandled) {
     const double clean = dro::robust_loss(theta, d, *loss, dro::AmbiguitySet::none());
     // KL/chi2 reweighting cannot change the mean of identical losses.
     EXPECT_NEAR(dro::robust_loss(theta, d, *loss, dro::AmbiguitySet::kl(0.5)), clean, 1e-6);
-    EXPECT_NEAR(dro::robust_loss(theta, d, *loss, dro::AmbiguitySet::chi_square(0.5)), clean,
-                1e-6);
+    const dro::AmbiguitySet chi_square{dro::AmbiguityKind::kChiSquare, 0.5};
+    EXPECT_NEAR(dro::robust_loss(theta, d, *loss, chi_square), clean, 1e-6);
 }
 
 TEST(EdgeCases, ZeroWeightVectorEverywhere) {
@@ -155,10 +156,9 @@ TEST(EdgeCases, EmDroWithMoreMultiStartsThanAtoms) {
     const dp::MixturePrior prior = dp::MixturePrior::single(
         stats::MultivariateNormal::isotropic(linalg::zeros(train.dim()), 1.0));
     const auto loss = models::make_logistic_loss();
-    core::EmDroOptions options;
-    options.multi_start_atoms = 50;  // > component count; must clamp
+    // The solver tries 3 atoms besides the prior mean; one exists.
     const core::EmDroSolver solver(train, *loss, prior, dro::AmbiguitySet::wasserstein(0.1),
-                                   1.0, options);
+                                   1.0, core::EmDroOptions{});
     EXPECT_NO_THROW(solver.solve());
 }
 
@@ -166,8 +166,8 @@ TEST(EdgeCases, DpmmWithTwoObservations) {
     stats::Rng rng(6);
     dp::DpmmConfig config;
     config.base_mean = {0.0};
-    config.base_covariance = linalg::Matrix(1, 1, {10.0});
-    config.within_covariance = linalg::Matrix(1, 1, {0.5});
+    config.base_covariance = test_support::matrix_of(1, 1, {10.0});
+    config.within_covariance = test_support::matrix_of(1, 1, {0.5});
     config.num_sweeps = 30;
     dp::DpmmGibbs sampler({{0.1}, {-0.1}}, config);
     sampler.run(rng);
@@ -194,8 +194,8 @@ TEST(EdgeCases, RadiusZeroEverywhereIsErm) {
 
 TEST(EdgeCases, PerfectlySeparableDataWithHugeRadius) {
     // The norm penalty must prevent weight blow-up even on separable data.
-    linalg::Matrix f(4, 3,
-                     {2.0, 0.0, 1.0, 3.0, 0.0, 1.0, -2.0, 0.0, 1.0, -3.0, 0.0, 1.0});
+    linalg::Matrix f = test_support::matrix_of(
+        4, 3, {2.0, 0.0, 1.0, 3.0, 0.0, 1.0, -2.0, 0.0, 1.0, -3.0, 0.0, 1.0});
     const models::Dataset d(std::move(f), {1.0, 1.0, -1.0, -1.0});
     const auto loss = models::make_logistic_loss();
     const dro::WassersteinDroObjective robust(d, *loss, 5.0);

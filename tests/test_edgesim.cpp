@@ -14,16 +14,16 @@
 #include "edgesim/simulation.hpp"
 #include "edgesim/transfer.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::edgesim {
 namespace {
 
 dp::MixturePrior sample_prior() {
     std::vector<stats::MultivariateNormal> atoms;
-    linalg::Matrix cov(3, 3,
-                       {0.5, 0.1, 0.0,   //
-                        0.1, 0.7, 0.2,   //
-                        0.0, 0.2, 0.9});
+    linalg::Matrix cov = test_support::matrix_of(3, 3, {0.5, 0.1, 0.0,   //
+                                                        0.1, 0.7, 0.2,   //
+                                                        0.0, 0.2, 0.9});
     atoms.emplace_back(linalg::Vector{1.0, -2.0, 0.5}, cov);
     atoms.push_back(stats::MultivariateNormal::isotropic({-1.0, 1.0, 0.0}, 0.3));
     return dp::MixturePrior({0.6, 0.4}, std::move(atoms));
@@ -343,7 +343,7 @@ TEST(Cloud, RequiresTwoContributors) {
     CloudNode cloud{CloudConfig{}};
     stats::Rng rng(5);
     EXPECT_THROW(cloud.fit_prior(rng), std::invalid_argument);
-    const models::Dataset d(linalg::Matrix(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0});
+    const models::Dataset d(test_support::matrix_of(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0});
     cloud.add_contributor_data(d);
     EXPECT_THROW(cloud.fit_prior(rng), std::invalid_argument);
 }
@@ -351,10 +351,10 @@ TEST(Cloud, RequiresTwoContributors) {
 TEST(Cloud, RejectsDimensionMismatchAcrossContributors) {
     CloudNode cloud{CloudConfig{}};
     cloud.add_contributor_data(
-        models::Dataset(linalg::Matrix(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0}));
-    EXPECT_THROW(cloud.add_contributor_data(models::Dataset(
-                     linalg::Matrix(2, 3, {1.0, 1.0, 1.0, -1.0, 1.0, 1.0}), {1.0, -1.0})),
-                 std::invalid_argument);
+        models::Dataset(test_support::matrix_of(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0}));
+    const models::Dataset wider(test_support::matrix_of(2, 3, {1.0, 1.0, 1.0, -1.0, 1.0, 1.0}),
+                                {1.0, -1.0});
+    EXPECT_THROW(cloud.add_contributor_data(wider), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ device

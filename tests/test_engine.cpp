@@ -653,7 +653,8 @@ TEST(FleetEngine, RoundTalliesEqualASerialRecount) {
     constexpr std::size_t kReasons =
         static_cast<std::size_t>(DegradedReason::kRejoinStalePrior) + 1;
     const auto counter_name = [](std::size_t r) {
-        return std::string("fault.degraded.") + to_string(static_cast<DegradedReason>(r));
+        return std::string("fault.degraded.") +
+               test_support::degraded_reason_name(static_cast<DegradedReason>(r));
     };
     const auto counter_totals = [&] {
         std::vector<std::uint64_t> totals(kReasons, 0);

@@ -9,6 +9,7 @@
 #include "data/task_generator.hpp"
 #include "models/metrics.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel {
 namespace {
@@ -94,7 +95,8 @@ TEST(Ensemble, Validation) {
     bad.transfer_weight = -1.0;
     EXPECT_THROW(core::EnsembleEdgeLearner(f.prior, bad), std::invalid_argument);
     const core::EnsembleEdgeLearner learner(f.prior, {});
-    const models::Dataset wrong(linalg::Matrix(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0});
+    const models::Dataset wrong(test_support::matrix_of(2, 2, {1.0, 1.0, -1.0, 1.0}),
+                                {1.0, -1.0});
     EXPECT_THROW(learner.fit(wrong), std::invalid_argument);
     EXPECT_THROW(core::EnsembleModel({}, {}), std::invalid_argument);
 }

@@ -6,6 +6,7 @@
 #include "data/task_generator.hpp"
 #include "models/metrics.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::core {
 namespace {
@@ -199,7 +200,8 @@ TEST(Streaming, MatchesBatchFitOnSameData) {
 TEST(Streaming, Validation) {
     const Fixture f = make_fixture(50, 8);
     StreamingEdgeLearner learner(f.prior, {});
-    const models::Dataset wrong(linalg::Matrix(2, 2, {1.0, 1.0, -1.0, 1.0}), {1.0, -1.0});
+    const models::Dataset wrong(test_support::matrix_of(2, 2, {1.0, 1.0, -1.0, 1.0}),
+                                {1.0, -1.0});
     EXPECT_THROW(learner.observe(wrong), std::invalid_argument);
 }
 

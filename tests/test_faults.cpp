@@ -77,16 +77,6 @@ TEST(FaultConfig, UniformClampsAndSetsEveryRate) {
     EXPECT_FALSE(FaultConfig::uniform(-1.0).any());
 }
 
-TEST(DegradedReasonNames, AreStableLowercase) {
-    EXPECT_STREQ(to_string(DegradedReason::kNone), "none");
-    EXPECT_STREQ(to_string(DegradedReason::kCrashed), "crashed");
-    EXPECT_STREQ(to_string(DegradedReason::kStraggler), "straggler");
-    EXPECT_STREQ(to_string(DegradedReason::kFallbackLocalErm), "fallback_local_erm");
-    EXPECT_STREQ(to_string(DegradedReason::kStalePrior), "stale_prior");
-    EXPECT_STREQ(to_string(DegradedReason::kUploadDropped), "upload_dropped");
-    EXPECT_STREQ(to_string(DegradedReason::kNonFinite), "non_finite");
-}
-
 // --------------------------------------------------------------- plan layer
 
 TEST(FaultPlan, InactiveByDefaultAndWhenAllRatesZero) {

@@ -13,6 +13,7 @@
 // rewrites every golden from the current run and passes; commit the diff.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -97,8 +98,13 @@ void check_text_against_golden(const std::string& name, const std::string& actua
         << "if the change is intentional, regenerate with DREL_UPDATE_GOLDEN=1";
 }
 
+/// The golden document: {"metrics": <the registry's deterministic snapshot>,
+/// "schema_version": 1}.
 void check_against_golden(const std::string& name) {
-    check_text_against_golden(name, obs::Registry::global().deterministic_json());
+    obs::JsonValue::Object doc;
+    doc.emplace("schema_version", std::uint64_t{1});
+    doc.emplace("metrics", obs::Registry::global().deterministic_snapshot());
+    check_text_against_golden(name, obs::JsonValue(std::move(doc)).dump());
 }
 
 class GoldenMetrics : public ::testing::Test {
@@ -295,7 +301,7 @@ TEST_F(GoldenMetrics, LifecycleBatchSmall) {
             const edgesim::EngineRoundStats& round = report.rounds[r];
             std::map<std::string, std::uint64_t> reason_counts;
             for (const edgesim::DegradedReason reason : round.device_degraded) {
-                ++reason_counts[edgesim::to_string(reason)];
+                ++reason_counts[test_support::degraded_reason_name(reason)];
             }
             obs::JsonValue::Object reasons_json;
             for (const auto& [name, count] : reason_counts) reasons_json.emplace(name, count);

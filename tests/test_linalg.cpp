@@ -7,6 +7,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::linalg {
 namespace {
@@ -34,8 +35,6 @@ TEST(VectorOps, AxpyAndArithmetic) {
     axpy(2.0, {1.0, -1.0}, y);
     EXPECT_DOUBLE_EQ(y[0], 3.0);
     EXPECT_DOUBLE_EQ(y[1], -1.0);
-    const Vector s = add({1.0, 2.0}, {3.0, 4.0});
-    EXPECT_DOUBLE_EQ(s[0], 4.0);
     const Vector d = sub({1.0, 2.0}, {3.0, 4.0});
     EXPECT_DOUBLE_EQ(d[1], -2.0);
 }
@@ -73,27 +72,25 @@ TEST(Matrix, ConstructionAndAccess) {
     EXPECT_EQ(m.cols(), 3u);
     EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
     m(0, 0) = 7.0;
-    EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
-    EXPECT_THROW(m.at(2, 0), std::out_of_range);
-    EXPECT_THROW(Matrix(2, 2, std::vector<double>{1.0}), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(m(0, 0), 7.0);
 }
 
 TEST(Matrix, MatvecAgainstHandComputed) {
-    const Matrix a(2, 2, {1.0, 2.0, 3.0, 4.0});
+    const Matrix a = test_support::matrix_of(2, 2, {1.0, 2.0, 3.0, 4.0});
     const Vector v = a.matvec({1.0, 1.0});
     EXPECT_DOUBLE_EQ(v[0], 3.0);
     EXPECT_DOUBLE_EQ(v[1], 7.0);
 }
 
 TEST(Matrix, MatmulMatchesIdentity) {
-    const Matrix a(2, 2, {1.0, 2.0, 3.0, 4.0});
+    const Matrix a = test_support::matrix_of(2, 2, {1.0, 2.0, 3.0, 4.0});
     const Matrix prod = a.matmul(Matrix::identity(2));
     EXPECT_NEAR(Matrix::max_abs_diff(a, prod), 0.0, 1e-15);
 }
 
 TEST(Matrix, MatmulHandChecked) {
-    const Matrix a(2, 3, {1.0, 0.0, 2.0, 0.0, 1.0, -1.0});
-    const Matrix b(3, 1, {1.0, 2.0, 3.0});
+    const Matrix a = test_support::matrix_of(2, 3, {1.0, 0.0, 2.0, 0.0, 1.0, -1.0});
+    const Matrix b = test_support::matrix_of(3, 1, {1.0, 2.0, 3.0});
     const Matrix c = a.matmul(b);
     EXPECT_DOUBLE_EQ(c(0, 0), 7.0);
     EXPECT_DOUBLE_EQ(c(1, 0), -1.0);
@@ -101,14 +98,12 @@ TEST(Matrix, MatmulHandChecked) {
 }
 
 TEST(Matrix, TransposeRoundTrip) {
-    const Matrix a(2, 3, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+    const Matrix a = test_support::matrix_of(2, 3, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
     EXPECT_NEAR(Matrix::max_abs_diff(a, a.transposed().transposed()), 0.0, 0.0);
     EXPECT_DOUBLE_EQ(a.transposed()(2, 1), 6.0);
 }
 
 TEST(Matrix, OuterAndAddOuter) {
-    const Matrix o = Matrix::outer({1.0, 2.0}, {3.0, 4.0});
-    EXPECT_DOUBLE_EQ(o(1, 0), 6.0);
     Matrix s = Matrix::identity(2);
     s.add_outer(2.0, {1.0, 1.0});
     EXPECT_DOUBLE_EQ(s(0, 0), 3.0);
@@ -123,7 +118,7 @@ TEST(Matrix, TraceAndDiagonal) {
 }
 
 TEST(Matrix, RowColumnOps) {
-    Matrix m(2, 2, {1.0, 2.0, 3.0, 4.0});
+    Matrix m = test_support::matrix_of(2, 2, {1.0, 2.0, 3.0, 4.0});
     const Vector r = m.row(1);
     EXPECT_DOUBLE_EQ(r[0], 3.0);
     const Vector c = m.col(1);
@@ -168,14 +163,6 @@ TEST(Cholesky, LogDetMatchesDiagonalCase) {
     EXPECT_NEAR(chol.log_det(), std::log(24.0), 1e-12);
 }
 
-TEST(Cholesky, QuadFormMatchesExplicit) {
-    stats::Rng rng(3);
-    const Matrix a = random_spd(4, rng);
-    const Cholesky chol(a);
-    const Vector x = rng.standard_normal_vector(4);
-    EXPECT_NEAR(chol.quad_form_inv(x), dot(x, chol.solve(x)), 1e-9);
-}
-
 TEST(Cholesky, RejectsIndefinite) {
     Matrix bad = Matrix::identity(2);
     bad(0, 0) = -1.0;
@@ -185,7 +172,7 @@ TEST(Cholesky, RejectsIndefinite) {
 
 TEST(Cholesky, JitterRescuesSemidefinite) {
     // Rank-1 matrix: singular but PSD; jitter must make it factorable.
-    Matrix semidefinite = Matrix::outer({1.0, 1.0}, {1.0, 1.0});
+    Matrix semidefinite = test_support::outer({1.0, 1.0}, {1.0, 1.0});
     const Cholesky chol = Cholesky::factor_with_jitter(semidefinite);
     EXPECT_EQ(chol.dim(), 2u);
 }

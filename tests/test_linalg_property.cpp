@@ -47,7 +47,7 @@ constexpr std::size_t kMaxSize = 64;
 constexpr std::uint64_t kNumSeeds = 32;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, drel::stats::Rng& rng) {
-    return Matrix(rows, cols, rng.standard_normal_vector(rows * cols));
+    return drel::test_support::matrix_of(rows, cols, rng.standard_normal_vector(rows * cols));
 }
 
 /// Random SPD matrix: B Bᵀ + ridge, comfortably positive definite.

@@ -41,7 +41,7 @@ TEST(LossyChannel, RetransmitsUntilDelivered) {
     edgesim::ChannelConfig config;
     config.packet_loss_prob = 0.7;
     config.max_transmissions = 500;
-    ASSERT_LE(payload.size(), config.packet_bytes);
+    ASSERT_LE(payload.size(), 256u);  // one packet
     const double p = 1.0 - config.packet_loss_prob;
     const int trials = 2000;
     const stats::Rng root(8);
@@ -66,35 +66,6 @@ TEST(LossyChannel, RetransmitsUntilDelivered) {
     EXPECT_NEAR(mean_attempts, 1.0 / p, 5.0 * standard_error);
 }
 
-TEST(LossyChannel, CorruptionIsDetectedNeverInstalled) {
-    // Under heavy bit flips most attempts arrive corrupted, but a delivered
-    // payload must ALWAYS be the bytes sent: a flipped bit inside a weight
-    // or mean would still decode, to another prior. On a loss-free channel
-    // every failed attempt is a corrupted one.
-    stats::Rng rng(9);
-    const auto payload = edgesim::encode_prior(channel_prior());
-    edgesim::ChannelConfig config;
-    config.bit_flip_prob = 0.02;
-    config.max_transmissions = 100;
-    int delivered = 0;
-    std::size_t corrupted = 0;
-    for (int t = 0; t < 50; ++t) {
-        const edgesim::TransmissionReport report =
-            edgesim::transmit_with_retries(payload, config, rng);
-        const auto attempts = static_cast<std::size_t>(report.attempts);
-        corrupted += report.corrupted_attempts;
-        if (report.delivered) {
-            ++delivered;
-            EXPECT_EQ(report.payload, payload) << "trial " << t;
-            EXPECT_EQ(report.corrupted_attempts, attempts - 1) << "trial " << t;
-        } else {
-            EXPECT_EQ(report.corrupted_attempts, attempts) << "trial " << t;
-        }
-    }
-    EXPECT_GT(delivered, 0);
-    EXPECT_GT(corrupted, 0u);
-}
-
 TEST(LossyChannel, HopelessChannelGivesUp) {
     stats::Rng rng(10);
     const auto payload = edgesim::encode_prior(channel_prior());
@@ -110,9 +81,6 @@ TEST(LossyChannel, HopelessChannelGivesUp) {
 TEST(LossyChannel, Validation) {
     stats::Rng rng(11);
     const auto payload = edgesim::encode_prior(channel_prior());
-    edgesim::ChannelConfig bad;
-    bad.packet_bytes = 0;
-    EXPECT_THROW(edgesim::transmit_with_retries(payload, bad, rng), std::invalid_argument);
     edgesim::ChannelConfig no_attempts;
     no_attempts.max_transmissions = 0;
     EXPECT_THROW(edgesim::transmit_with_retries(payload, no_attempts, rng),
@@ -120,15 +88,12 @@ TEST(LossyChannel, Validation) {
     edgesim::ChannelConfig bad_loss;
     bad_loss.packet_loss_prob = 1.5;
     EXPECT_THROW(edgesim::transmit_with_retries(payload, bad_loss, rng), std::invalid_argument);
-    edgesim::ChannelConfig bad_flip;
-    bad_flip.bit_flip_prob = -0.1;
-    EXPECT_THROW(edgesim::transmit_with_retries(payload, bad_flip, rng), std::invalid_argument);
 }
 
 TEST(LossyChannel, EmptyPayloadIsRejectedUpFront) {
     // An empty payload used to burn max_transmissions attempts shipping
     // nothing and then report a zero-byte "delivery". It is a caller bug,
-    // rejected like packet_bytes == 0 — before any channel draw.
+    // rejected before any channel draw.
     stats::Rng rng(13);
     const std::vector<std::uint8_t> empty;
     EXPECT_THROW(edgesim::transmit_with_retries(empty, {}, rng), std::invalid_argument);

@@ -10,17 +10,17 @@
 #include "models/metrics.hpp"
 #include "optim/lbfgs.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::models {
 namespace {
 
 Dataset tiny_dataset() {
     // Linearly separable 2-feature (+bias) toy.
-    linalg::Matrix f(4, 3,
-                     {+1.0, +1.0, 1.0,   //
-                      +2.0, +0.5, 1.0,   //
-                      -1.0, -1.0, 1.0,   //
-                      -2.0, -0.5, 1.0});
+    linalg::Matrix f = test_support::matrix_of(4, 3, {+1.0, +1.0, 1.0,   //
+                                                      +2.0, +0.5, 1.0,   //
+                                                      -1.0, -1.0, 1.0,   //
+                                                      -2.0, -0.5, 1.0});
     return Dataset(std::move(f), {1.0, 1.0, -1.0, -1.0});
 }
 
@@ -37,9 +37,12 @@ TEST(Dataset, ConstructionValidation) {
 TEST(Dataset, RejectsNonFiniteValues) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(Dataset(linalg::Matrix(1, 2, {nan, 1.0}), {1.0}), std::invalid_argument);
-    EXPECT_THROW(Dataset(linalg::Matrix(1, 2, {inf, 1.0}), {1.0}), std::invalid_argument);
-    EXPECT_THROW(Dataset(linalg::Matrix(1, 2, {0.0, 1.0}), {nan}), std::invalid_argument);
+    EXPECT_THROW(Dataset(test_support::matrix_of(1, 2, {nan, 1.0}), {1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(Dataset(test_support::matrix_of(1, 2, {inf, 1.0}), {1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(Dataset(test_support::matrix_of(1, 2, {0.0, 1.0}), {nan}),
+                 std::invalid_argument);
 }
 
 TEST(Dataset, SubsetSupportsDuplicates) {
@@ -50,31 +53,11 @@ TEST(Dataset, SubsetSupportsDuplicates) {
     EXPECT_THROW(d.subset({9}), std::out_of_range);
 }
 
-TEST(Dataset, SplitPartitionsAllExamples) {
-    stats::Rng rng(1);
-    const Dataset d = tiny_dataset();
-    const auto [train, test] = d.split(0.5, rng);
-    EXPECT_EQ(train.size() + test.size(), d.size());
-    EXPECT_EQ(train.size(), 2u);
-    EXPECT_THROW(d.split(1.5, rng), std::invalid_argument);
-}
-
 TEST(Dataset, ConcatenatePreservesOrder) {
     const Dataset d = tiny_dataset();
     const Dataset c = Dataset::concatenate(d, d);
     EXPECT_EQ(c.size(), 8u);
     EXPECT_DOUBLE_EQ(c.label(4), d.label(0));
-}
-
-TEST(Dataset, PushBackGrows) {
-    Dataset d = tiny_dataset();
-    d.push_back({0.0, 0.0, 1.0}, -1.0);
-    EXPECT_EQ(d.size(), 5u);
-    EXPECT_THROW(d.push_back({0.0}, 1.0), std::invalid_argument);
-}
-
-TEST(Dataset, PositiveFraction) {
-    EXPECT_DOUBLE_EQ(tiny_dataset().positive_fraction(), 0.5);
 }
 
 // ------------------------------------------------------------------ losses
@@ -242,7 +225,7 @@ TEST(Metrics, BrierScoreBounds) {
 
 TEST(Metrics, MseForRegression) {
     const LinearModel model({2.0, 0.0});
-    const Dataset d(linalg::Matrix(2, 2, {1.0, 1.0, 2.0, 1.0}), {2.0, 4.0});
+    const Dataset d(test_support::matrix_of(2, 2, {1.0, 1.0, 2.0, 1.0}), {2.0, 4.0});
     EXPECT_NEAR(mse(model, d), 0.0, 1e-12);
 }
 

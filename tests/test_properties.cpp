@@ -206,8 +206,11 @@ TEST_P(JensenBound, SurrogatePlusEntropyLowerBoundsLogPdf) {
     };
     for (int trial = 0; trial < 10; ++trial) {
         const linalg::Vector theta = rng.standard_normal_vector(4);
-        // Arbitrary responsibilities: lower bound.
-        linalg::Vector r = rng.dirichlet({1.0, 1.0, 1.0, 1.0});
+        // Arbitrary responsibilities, a Dirichlet(1, 1, 1, 1) draw: lower bound.
+        linalg::Vector r(4);
+        double total = 0.0;
+        for (double& v : r) total += v = rng.gamma(1.0);
+        for (double& v : r) v /= total;
         EXPECT_LE(prior.em_surrogate(theta, r) + entropy(r), prior.log_pdf(theta) + 1e-9);
         // Optimal responsibilities: equality.
         const linalg::Vector r_star = prior.responsibilities(theta);

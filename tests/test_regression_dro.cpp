@@ -5,6 +5,8 @@
 
 #include "data/task_generator.hpp"
 #include "dro/wasserstein_regression.hpp"
+#include "models/linear_model.hpp"
+#include "models/metrics.hpp"
 #include "optim/lbfgs.hpp"
 #include "stats/rng.hpp"
 
@@ -22,7 +24,7 @@ TEST(WassersteinRegression, ZeroRadiusIsPlainMse) {
     const models::Dataset d = regression_fixture(rng, 40);
     const WassersteinRegressionObjective robust(d, 0.0);
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    EXPECT_NEAR(robust.value(theta), robust.mse(theta), 1e-10);
+    EXPECT_NEAR(robust.value(theta), models::mse(models::LinearModel(theta), d), 1e-10);
 }
 
 TEST(WassersteinRegression, ClosedFormMatchesSqrtFormula) {
@@ -31,7 +33,7 @@ TEST(WassersteinRegression, ClosedFormMatchesSqrtFormula) {
     const double rho = 0.4;
     const WassersteinRegressionObjective robust(d, rho);
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    const double root = std::sqrt(robust.mse(theta));
+    const double root = std::sqrt(models::mse(models::LinearModel(theta), d));
     double feat_sq = 0.0;
     for (std::size_t i = 0; i + 1 < theta.size(); ++i) feat_sq += theta[i] * theta[i];
     const double expected = std::pow(root + rho * std::sqrt(feat_sq), 2.0);

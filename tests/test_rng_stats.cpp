@@ -8,16 +8,14 @@
 // value. Continuous variates go through their CDF first (probability
 // integral transform), which maps a correct sampler to U[0,1) and makes
 // equal-width bins equiprobable. Covered: goodness of fit of uniform,
-// uniform_index, normal and exponential; independence of sibling forks
-// and of device_stream cells one coordinate apart; the half-open contract
-// of uniform(lo, hi) on adversarial ranges; and a known-answer test that
+// uniform_index and normal; independence of sibling forks and of
+// device_stream cells one coordinate apart; and a known-answer test that
 // pins the engine itself.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -136,13 +134,6 @@ TEST(RngStats, PolarPairsAreIndependent) {
         100000, "normal pairs");
 }
 
-TEST(RngStats, ExponentialMatchesCdfInBins) {
-    const double rate = 2.5;
-    stats::Rng rng(9205);
-    expect_pit_uniform([&] { return rng.exponential(rate); },
-                       [&](double x) { return -std::expm1(-rate * x); }, 200000, "exponential");
-}
-
 TEST(RngStats, SiblingForksWithAdjacentTagsAreIndependent) {
     const stats::Rng root(9206);
     expect_pairs_independent(
@@ -181,47 +172,6 @@ TEST(RngStats, DeviceStreamCellsOneCoordinateApartAreIndependent) {
         cells, "kWork vs kLatency");
 }
 
-TEST(RngStats, UniformRangeIsHalfOpenOnAdversarialRanges) {
-    constexpr double kMax = std::numeric_limits<double>::max();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    struct Range {
-        double lo;
-        double hi;
-    };
-    const Range ranges[] = {
-        {0.0, 1.0},
-        {1.0, std::nextafter(1.0, 2.0)},    // one ulp: every draw must be lo
-        {-1.0, std::nextafter(-1.0, 0.0)},
-        {0.0, std::numeric_limits<double>::denorm_min()},
-        {1e16, 1e16 + 4.0},                 // three representable values
-        {std::nextafter(kMax, 0.0), kMax},
-        {-kMax, kMax},                      // the span overflows a double
-        {-kMax, -std::nextafter(kMax, 0.0)},
-    };
-    stats::Rng rng(9208);
-    for (const Range& r : ranges) {
-        std::uint64_t out_of_range = 0;
-        std::uint64_t below_mid = 0;
-        const int draws = 20000;
-        for (int t = 0; t < draws; ++t) {
-            const double x = rng.uniform(r.lo, r.hi);
-            if (!(x >= r.lo && x < r.hi)) ++out_of_range;
-            if (x < 0.5 * r.lo + 0.5 * r.hi) ++below_mid;
-        }
-        EXPECT_EQ(out_of_range, 0u) << "[" << r.lo << ", " << r.hi << ")";
-        if (r.lo == -kMax && r.hi == kMax) {
-            // Both halves of the widest range are reached.
-            EXPECT_GT(below_mid, draws / 3);
-            EXPECT_LT(below_mid, 2 * draws / 3);
-        }
-    }
-    EXPECT_THROW(rng.uniform(1.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(rng.uniform(2.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(rng.uniform(0.0, kInf), std::invalid_argument);
-    EXPECT_THROW(rng.uniform(-kInf, 0.0), std::invalid_argument);
-    EXPECT_THROW(rng.uniform(std::nan(""), 1.0), std::invalid_argument);
-}
-
 /// The top 53 bits of the next engine output, read back exactly from
 /// uniform() (a multiple of 2^-53).
 std::uint64_t top53(stats::Rng& rng) {
@@ -231,8 +181,8 @@ std::uint64_t top53(stats::Rng& rng) {
 TEST(RngStats, KnownAnswerFirstOutputs) {
     // Expected values come from the published xoshiro256** and SplitMix64
     // reference algorithms, evaluated separately in exact integer
-    // arithmetic. Only integer transforms are pinned: normal and
-    // exponential go through libm and are covered by the fits above.
+    // arithmetic. Only integer transforms are pinned: normal goes through
+    // libm and is covered by the fit above.
     stats::Rng root(0);
     EXPECT_EQ(top53(root), 5415695640260286u);
     EXPECT_EQ(top53(root), 6735350249106120u);

@@ -302,9 +302,9 @@ TEST(SimdDispatch, BatchResponsibilitiesNearOracleAndPerDevicePath) {
         }
 
         // And the per-device production path (different reduction order,
-        // same math): responsibilities row-by-row.
-        std::vector<double> resp(count * prior.num_components());
-        batch.responsibilities_into(thetas.data(), count, resp.data(), ws);
+        // same math): each row of densities, normalized, is that device's
+        // responsibilities.
+        const std::size_t num_k = prior.num_components();
         linalg::Vector theta(dim);
         linalg::Vector per_device;
         for (std::size_t i = 0; i < count; ++i) {
@@ -312,8 +312,11 @@ TEST(SimdDispatch, BatchResponsibilitiesNearOracleAndPerDevicePath) {
                       thetas.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim),
                       theta.begin());
             prior.responsibilities_into(theta, per_device, ws);
-            for (std::size_t k = 0; k < prior.num_components(); ++k) {
-                EXPECT_NEAR(resp[i * prior.num_components() + k], per_device[k], 1e-9)
+            linalg::Vector row(got.begin() + static_cast<std::ptrdiff_t>(i * num_k),
+                               got.begin() + static_cast<std::ptrdiff_t>((i + 1) * num_k));
+            linalg::softmax_inplace(row);
+            for (std::size_t k = 0; k < num_k; ++k) {
+                EXPECT_NEAR(row[k], per_device[k], 1e-9)
                     << "device " << i << " component " << k;
             }
         }
@@ -337,9 +340,13 @@ TEST(SimdDispatch, BatchResponsibilitiesIndependentOfBatchSplit) {
         for (double& t : thetas) t = 4.0 * rng.normal();
         std::vector<double> whole(count * k);
         batch.log_densities_into(thetas.data(), count, whole.data(), ws);
-        // The tiled scorer's MAP match agrees with the whole-batch argmax.
+        // The tiled scorer's MAP match agrees with the whole-batch argmax
+        // (first max wins).
         std::vector<std::size_t> map(count);
-        batch.map_components_into(thetas.data(), count, map.data(), ws);
+        for (std::size_t i = 0; i < count; ++i) {
+            const double* row = whole.data() + i * k;
+            map[i] = static_cast<std::size_t>(std::max_element(row, row + k) - row);
+        }
         std::vector<std::size_t> other(count);
         for (std::size_t i = 0; i < count; ++i) other[i] = (map[i] + 1) % k;
         std::vector<double> hit(count, -1.0);

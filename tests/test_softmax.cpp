@@ -11,6 +11,7 @@
 #include "models/softmax.hpp"
 #include "optim/lbfgs.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel {
 namespace {
@@ -92,10 +93,10 @@ TEST(SoftmaxErm, GradientMatchesNumerical) {
 }
 
 TEST(SoftmaxErm, RejectsBadLabels) {
-    const models::Dataset bad(linalg::Matrix(2, 3, {1.0, 0.0, 1.0, 0.0, 1.0, 1.0}),
+    const models::Dataset bad(test_support::matrix_of(2, 3, {1.0, 0.0, 1.0, 0.0, 1.0, 1.0}),
                               {0.0, 5.0});
     EXPECT_THROW(SoftmaxErmObjective(bad, 3), std::invalid_argument);
-    const models::Dataset fractional(linalg::Matrix(1, 2, {1.0, 1.0}), {0.5});
+    const models::Dataset fractional(test_support::matrix_of(1, 2, {1.0, 1.0}), {0.5});
     EXPECT_THROW(SoftmaxErmObjective(fractional, 3), std::invalid_argument);
 }
 
@@ -339,9 +340,9 @@ TEST(SoftmaxFDivergence, FactoryDispatch) {
     const double erm =
         make_softmax_robust_objective(d, 3, AmbiguitySet::none())->value(theta);
     for (const AmbiguitySet set : {AmbiguitySet::wasserstein(0.2), AmbiguitySet::kl(0.2),
-                                   AmbiguitySet::chi_square(0.2)}) {
+                                   AmbiguitySet{AmbiguityKind::kChiSquare, 0.2}}) {
         EXPECT_GE(make_softmax_robust_objective(d, 3, set)->value(theta), erm - 1e-9)
-            << set.to_string();
+            << ambiguity_name(set.kind);
     }
 }
 

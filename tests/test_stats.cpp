@@ -78,16 +78,6 @@ TEST(Rng, ForkIsDeterministic) {
     EXPECT_DOUBLE_EQ(base.fork(3).uniform(), Rng(7).fork(3).uniform());
 }
 
-TEST(Rng, UniformRange) {
-    Rng rng(1);
-    for (int i = 0; i < 1000; ++i) {
-        const double u = rng.uniform(-2.0, 3.0);
-        EXPECT_GE(u, -2.0);
-        EXPECT_LT(u, 3.0);
-    }
-    EXPECT_THROW(rng.uniform(1.0, 1.0), std::invalid_argument);
-}
-
 TEST(Rng, NormalMomentsApproximate) {
     Rng rng(2);
     RunningStats s;
@@ -154,24 +144,6 @@ TEST(Rng, CategoricalFallThroughSkipsZeroWeights) {
     EXPECT_EQ(categorical_index({0.0, 0.0, 2.0, 0.0}, 2.0 + 1e-15), 2u);
 }
 
-TEST(Rng, DirichletOnSimplex) {
-    Rng rng(8);
-    for (int i = 0; i < 100; ++i) {
-        const auto p = rng.dirichlet({0.5, 1.0, 2.0});
-        EXPECT_NEAR(linalg::sum(p), 1.0, 1e-12);
-        for (const double v : p) EXPECT_GE(v, 0.0);
-    }
-}
-
-TEST(Rng, DirichletMeanMatchesAlphaRatio) {
-    Rng rng(9);
-    linalg::Vector acc(3, 0.0);
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) linalg::axpy(1.0, rng.dirichlet({1.0, 2.0, 3.0}), acc);
-    EXPECT_NEAR(acc[0] / n, 1.0 / 6.0, 0.01);
-    EXPECT_NEAR(acc[2] / n, 3.0 / 6.0, 0.01);
-}
-
 TEST(Rng, PermutationIsValid) {
     Rng rng(10);
     const auto p = rng.permutation(50);
@@ -231,7 +203,7 @@ TEST(MultivariateNormal, MahalanobisAtMeanIsZero) {
 
 TEST(MultivariateNormal, SampleMomentsMatch) {
     Rng rng(13);
-    linalg::Matrix cov(2, 2, {2.0, 0.7, 0.7, 1.0});
+    linalg::Matrix cov = test_support::matrix_of(2, 2, {2.0, 0.7, 0.7, 1.0});
     const MultivariateNormal mvn({1.0, -1.0}, cov);
     std::vector<linalg::Vector> samples;
     for (int i = 0; i < 20000; ++i) samples.push_back(mvn.sample(rng));
@@ -244,7 +216,7 @@ TEST(MultivariateNormal, SampleMomentsMatch) {
 }
 
 TEST(MultivariateNormal, PrecisionTimesResidualIsGradient) {
-    linalg::Matrix cov(2, 2, {1.5, 0.3, 0.3, 0.8});
+    linalg::Matrix cov = test_support::matrix_of(2, 2, {1.5, 0.3, 0.3, 0.8});
     const MultivariateNormal mvn({0.0, 0.0}, cov);
     const linalg::Vector x{1.0, 2.0};
     // d/dx [-log pdf] = Sigma^{-1} (x - mu); check by finite differences.
@@ -272,7 +244,6 @@ TEST(MultivariateNormal, RejectsMismatchedShapes) {
 TEST(Descriptive, MeanVarianceKnown) {
     const linalg::Vector x{1.0, 2.0, 3.0, 4.0};
     EXPECT_DOUBLE_EQ(mean(x), 2.5);
-    EXPECT_NEAR(variance(x), 5.0 / 3.0, 1e-12);
     EXPECT_THROW(mean({}), std::invalid_argument);
 }
 
@@ -433,7 +404,9 @@ TEST(Descriptive, RunningStatsMatchesBatch) {
         values.push_back(v);
     }
     EXPECT_NEAR(s.mean(), mean(values), 1e-10);
-    EXPECT_NEAR(s.variance(), variance(values), 1e-8);
+    double squares = 0.0;  // the two-pass unbiased variance
+    for (const double v : values) squares += (v - mean(values)) * (v - mean(values));
+    EXPECT_NEAR(s.variance(), squares / static_cast<double>(values.size() - 1), 1e-8);
     EXPECT_EQ(s.count(), 500u);
     EXPECT_LE(s.min(), s.mean());
     EXPECT_GE(s.max(), s.mean());

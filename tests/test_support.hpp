@@ -65,6 +65,37 @@ inline std::string bits_digest(const std::vector<double>& values) {
     return buffer;
 }
 
+/// rows x cols matrix from row-major `values` (values.size() == rows * cols).
+inline linalg::Matrix matrix_of(std::size_t rows, std::size_t cols,
+                                const std::vector<double>& values) {
+    EXPECT_EQ(values.size(), rows * cols);
+    linalg::Matrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) m(r, c) = values[r * cols + c];
+    }
+    return m;
+}
+
+/// The rank-one matrix x yᵀ.
+inline linalg::Matrix outer(const linalg::Vector& x, const linalg::Vector& y) {
+    linalg::Matrix m(x.size(), y.size());
+    for (std::size_t r = 0; r < x.size(); ++r) {
+        for (std::size_t c = 0; c < y.size(); ++c) m(r, c) = x[r] * y[c];
+    }
+    return m;
+}
+
+/// A degraded reason's lowercase name, as the fault.degraded.<name>
+/// counters and the golden files spell it.
+inline const char* degraded_reason_name(edgesim::DegradedReason reason) {
+    static constexpr const char* kNames[] = {"none",           "crashed",
+                                             "straggler",      "fallback_local_erm",
+                                             "stale_prior",    "upload_dropped",
+                                             "non_finite",     "backpressure",
+                                             "rejoin_stale_prior"};
+    return kNames[static_cast<std::size_t>(reason)];
+}
+
 /// Pearson chi-square with small-expected-bin merging: bins whose expected
 /// count falls below 5 pool into one synthetic bin, per standard practice.
 /// Returns the statistic and reports the post-merge degrees of freedom.

@@ -410,9 +410,9 @@ TEST(TransferStatistical, EightBitQuantizationPreservesModeRecovery) {
     stats::Rng draw_b(15);  // same stream: the priors differ, not the draws
     for (std::size_t i = 0; i < n; ++i) {
         const linalg::Vector theta_a = float32_prior.sample(draw_a);
-        f32_counts[prior.map_component(theta_a)] += 1.0;
+        f32_counts[linalg::argmax(prior.responsibilities(theta_a))] += 1.0;
         const linalg::Vector theta_b = quantized_prior.sample(draw_b);
-        q8_counts[prior.map_component(theta_b)] += 1.0;
+        q8_counts[linalg::argmax(prior.responsibilities(theta_b))] += 1.0;
     }
     // Two-sample chi-square with equal totals:
     //   X^2 = sum_k (a_k - b_k)^2 / (a_k + b_k).

@@ -66,12 +66,6 @@ TEST(Strings, ParseDoubleRejectsGarbage) {
     EXPECT_THROW(util::parse_double(""), std::invalid_argument);
 }
 
-TEST(Strings, Join) {
-    EXPECT_EQ(util::join({"a", "b", "c"}, ", "), "a, b, c");
-    EXPECT_EQ(util::join({}, ","), "");
-    EXPECT_EQ(util::join({"one"}, ","), "one");
-}
-
 TEST(Strings, StartsWith) {
     EXPECT_TRUE(util::starts_with("wasserstein", "wass"));
     EXPECT_FALSE(util::starts_with("kl", "wass"));
@@ -249,24 +243,6 @@ TEST(ParallelFor, ConcurrentCallersShareTheGlobalExecutor) {
     }
     for (auto& t : callers) t.join();
     for (const auto& count : counts) EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ParallelForChunked, CoversRangeExactlyOnceWithExplicitGrain) {
-    std::vector<std::atomic<int>> hits(1003);
-    util::parallel_for_chunked(1003, 4, 64, [&](std::size_t begin, std::size_t end) {
-        ASSERT_LE(end, 1003u);
-        ASSERT_LE(end - begin, 64u);
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForChunked, AutoGrainCoversRangeExactlyOnce) {
-    std::vector<std::atomic<int>> hits(777);
-    util::parallel_for_chunked(777, 8, 0, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Executor, LocalInstanceRunsIndependentOfGlobal) {
